@@ -13,7 +13,11 @@ Subcommands:
   reproduce-tables  regenerate the bundled reference tables and compare
 
 Graphs are given as file paths or bundled fixture names (W4, H, L, neg10).
-All outputs are deterministic for a fixed configuration.
+All outputs are deterministic for a fixed configuration.  Bad input (a
+malformed graph file, an option out of range) gives a one-line error on
+stderr and exit code 2.  The pointwise options are capped before any work
+starts: root4 --n <= MAX_POINTWISE_N, root4 --digits <= MAX_DIGITS and
+croots --bits <= MAX_BITS.
 """
 
 from __future__ import annotations
@@ -39,6 +43,17 @@ from .tables import (BY_N_ROWS, DOUBLING_ROWS, ROOT_TOLERANCE,
                      reference_roots_doubling)
 from .transfer import (StripFamily, golden_identity_check,
                        verify_M_against_oracle)
+
+#: Caps on the pointwise options.  Every bundled table row fits: strip 513
+#: at 10 digits for root4, and 256 bits for croots.
+MAX_POINTWISE_N = 2049
+MAX_DIGITS = 30
+MAX_BITS = 1024
+
+
+def _check_range(option: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise ValueError(f"{option} must be in [{lo}, {hi}], got {value}")
 
 
 def _load_graph(spec: str):
@@ -111,6 +126,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_root4(args) -> int:
+    _check_range("--n", args.n, 1, MAX_POINTWISE_N)
+    _check_range("--digits", args.digits, 0, MAX_DIGITS)
     fam = StripFamily.from_framed(_load_framed(args.endA),
                                   _load_framed(args.endB),
                                   f"{args.endA},{args.endB}")
@@ -200,6 +217,7 @@ def cmd_verify_m(args) -> int:
 
 
 def cmd_croots(args) -> int:
+    _check_range("--bits", args.bits, 1, MAX_BITS)
     fam = StripFamily.from_framed(_load_framed(args.endA),
                                   _load_framed(args.endB),
                                   f"{args.endA},{args.endB}")
@@ -346,8 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("root4", help="isolate the real root near 4")
     p.add_argument("--endA", required=True)
     p.add_argument("--endB", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--digits", type=int, default=10)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"strip length, at most {MAX_POINTWISE_N}")
+    p.add_argument("--digits", type=int, default=10,
+                   help=f"decimals of the root, at most {MAX_DIGITS}")
     common(p)
     p.set_defaults(func=cmd_root4)
 
@@ -378,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endA", default="H")
     p.add_argument("--endB", default="W4")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--bits", type=int, default=256)
+    p.add_argument("--bits", type=int, default=256,
+                   help=f"working precision, at most {MAX_BITS}")
     p.add_argument("--max-iter", type=int, default=400,
                    help="iteration cap for the simultaneous root iteration")
     p.add_argument("--out", help="CSV output path")
@@ -403,6 +424,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
+        return 2
+    except (ValueError, KeyError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

@@ -19,7 +19,8 @@ DEFAULT_WIDTH = Fraction(1, 10 ** 11)
 
 
 class NoSignChangeError(RuntimeError):
-    """No negative probe value was found below 4 down to the probe limit."""
+    """No sign change was found where a root was sought: no negative probe
+    below 4 down to the probe limit, or none around an exact zero."""
 
 
 class NonPositiveAtFourError(RuntimeError):
@@ -90,8 +91,10 @@ def bisect(bracket: RootBracket, evaluator: Callable[[Fraction], int],
 
     `evaluator` must return the exact sign of the probed function at a
     rational point.  The endpoint sign invariant is maintained at every
-    step; an exact zero at a midpoint collapses to a degenerate hit,
-    returned as a minimal bracket around it.
+    step.  An exact zero at a midpoint is returned as the bracket
+    mid +- width/2 with both endpoint signs evaluated; when they are not
+    opposite and nonzero (say, at a root of even multiplicity) it raises
+    NoSignChangeError.
     """
     lo, hi = bracket.lo, bracket.hi
     sign_lo, sign_hi = bracket.sign_lo, bracket.sign_hi
@@ -100,7 +103,13 @@ def bisect(bracket: RootBracket, evaluator: Callable[[Fraction], int],
         s = evaluator(mid)
         if s == 0:
             half = width / 2
-            return RootBracket(mid - half, mid + half, sign_lo, sign_hi)
+            lo, hi = mid - half, mid + half
+            sign_lo, sign_hi = evaluator(lo), evaluator(hi)
+            if sign_lo * sign_hi != -1:
+                raise NoSignChangeError(
+                    f"exact zero at {mid} with signs {sign_lo}, {sign_hi} "
+                    f"at distance {half}; the root may have even multiplicity")
+            return RootBracket(lo, hi, sign_lo, sign_hi)
         if s == sign_lo:
             lo = mid
         else:

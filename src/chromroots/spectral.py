@@ -4,8 +4,9 @@ and the positive/negative classifier for planar end-graphs.
 
 At x = 4 - eps inside the guard interval the evaluated transfer matrix has
 eigenvalues 2, lambda2, lambda3, 0 where lambda2 and lambda3 are the roots
-of a monic rational quadratic; everything is computed exactly in the real
-quadratic extension generated by that quadratic's discriminant.
+of t^2 + b1(x) t + b2(x) (transfer.CHAR_B1, CHAR_B2); everything is
+computed exactly in the real quadratic extension generated by that
+quadratic's discriminant.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import List, Sequence, Tuple
 
 from .chromatic import PartitionVector
 from .exactnum import QuadExt, falling_factorial_at, quad_sign, squarefree_split
-from .transfer import TYPE_COLOUR_COUNTS, build_MD, gluing_weights
+from .transfer import (CHAR_B1, CHAR_B2, TYPE_COLOUR_COUNTS, build_MD,
+                       gluing_weights)
 
 #: Left end of the admissible evaluation interval: 181/50 = 3.62 exceeds
 #: 2 + golden ratio ~ 3.618, so (GUARD_LO, 4) sits inside the interval on
@@ -50,34 +52,6 @@ def gluing_weight_values(x: Fraction) -> tuple:
     return tuple(falling_factorial_at(s, x) for s in TYPE_COLOUR_COUNTS)
 
 
-def _char_quadratic(m: Sequence) -> Tuple[Fraction, Fraction]:
-    """The monic quadratic factor q(t) = t^2 + p t + q of the characteristic
-    polynomial, after exactly dividing out the known roots t = 0 and t = 2."""
-    # Newton's identities from power traces.
-    def matmul(a, b):
-        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4))
-                           for j in range(4)) for i in range(4))
-
-    p1m = m
-    p2m = matmul(m, m)
-    p3m = matmul(p2m, m)
-    p4m = matmul(p3m, m)
-    t = [sum(mm[i][i] for i in range(4)) for mm in (p1m, p2m, p3m, p4m)]
-    e1 = t[0]
-    e2 = (e1 * t[0] - t[1]) / 2
-    e3 = (e2 * t[0] - e1 * t[1] + t[2]) / 3
-    e4 = (e3 * t[0] - e2 * t[1] + e1 * t[2] - t[3]) / 4
-    if e4 != 0:
-        raise ArithmeticError("characteristic polynomial lost its zero root")
-    # char/t = t^3 - e1 t^2 + e2 t - e3; synthetic division by (t - 2).
-    b1 = -e1 + 2
-    b2 = e2 + 2 * b1
-    rem = -e3 + 2 * b2
-    if rem != 0:
-        raise ArithmeticError("characteristic polynomial lost its root t = 2")
-    return b1, b2
-
-
 def eigenvalues_at(x: Fraction) -> tuple:
     """(lambda1, lambda2, lambda3, lambda4) = (2, ., ., 0) at a rational x.
 
@@ -87,7 +61,7 @@ def eigenvalues_at(x: Fraction) -> tuple:
     x = Fraction(x)
     if not (GUARD_LO <= x <= 4):
         raise GuardError(f"x = {x} outside [{GUARD_LO}, 4]")
-    b1, b2 = _char_quadratic(transfer_values_at(x))
+    b1, b2 = CHAR_B1.eval_fraction(x), CHAR_B2.eval_fraction(x)
     disc = b1 * b1 - 4 * b2
     if disc < 0:
         raise ArithmeticError("complex quadratic eigenvalues inside the guard")

@@ -3,10 +3,18 @@ diagonal gluing weight D, the transfer matrix MD, gluing of partitioned
 chromatic polynomials, strip-family polynomials and their pointwise exact
 evaluation, a brute-force oracle for M, and the golden-ratio identity check
 for planar triangulations.
+
+Strip families are computed from the recurrence that the characteristic
+polynomial det(tI - MD) = t (t - 2) (t^2 + CHAR_B1 t + CHAR_B2) gives by
+Cayley-Hamilton, not from powers of MD: 2 or 3 polynomial multiply-adds per
+layer symbolically, and s^(n-2) modulo the recurrence by integer
+square-and-multiply pointwise.  TransferMatrix.power and extend_one_layer
+remain the 4x4 path that tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +27,11 @@ from .graphs import FramedGraph
 
 #: Number of colours used on the frame by each colouring type.
 TYPE_COLOUR_COUNTS = (2, 3, 3, 4)
+
+#: det(tI - MD(x)) = t (t - 2) (t^2 + CHAR_B1 t + CHAR_B2): the quadratic
+#: factor, whose roots are the eigenvalues lambda2 and lambda3 of MD(x).
+CHAR_B1 = IntPolynomial((-144, 147, -60, 12, -1))
+CHAR_B2 = IntPolynomial((540, -1350, 1368, -722, 210, -32, 2))
 
 #: Default cap on strip length for symbolic family polynomials; longer
 #: strips are served pointwise by family_value_at.
@@ -155,43 +168,87 @@ def extend_one_layer(q: PartitionVector) -> PartitionVector:
 def family_polynomial(qa: PartitionVector, qb: PartitionVector, n: int, *,
                       symbolic_limit: int = SYMBOLIC_LIMIT) -> IntPolynomial:
     """Exact chromatic polynomial of the n-layer strip with end graphs A
-    and B: the scalar Q(A)^T D (MD)^(n-1) Q(B)."""
+    and B: the scalar X(n) = Q(A)^T D (MD)^(n-1) Q(B).
+
+    X(1..4) come from gluing and layer extension; every further layer is
+    2 or 3 polynomial multiply-adds of the strip recurrence (see
+    _strip_modulus).
+    """
     if n < 1:
         raise ValueError("strip length must be >= 1")
     if n > symbolic_limit:
         raise ValueError(
             f"n={n} exceeds the symbolic limit {symbolic_limit}; "
             "use family_value_at for pointwise values")
+    xs = []
     grown = qb
-    for _ in range(n - 1):
-        grown = extend_one_layer(grown)
-    return glue(qa, grown)
+    for k in range(min(n, 4)):
+        if k:
+            grown = extend_one_layer(grown)
+        xs.append(glue(qa, grown))
+    if n <= 4:
+        return xs[n - 1]
+    low = _strip_modulus(xs[1], xs[2], xs[3], CHAR_B1, CHAR_B2,
+                         IntPolynomial.constant(2))
+    window = xs[4 - len(low):]
+    for _ in range(n - 4):
+        step = sum((c * w for c, w in zip(low, window)), IntPolynomial.zero())
+        window = window[1:] + [-step]
+    return window[-1]
 
 
-def _int_mat_mul(a: Sequence, b: Sequence) -> tuple:
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4))
-                       for j in range(4)) for i in range(4))
+def _strip_modulus(x2, x3, x4, p, q, t) -> tuple:
+    """Low coefficients (constant first) of a monic annihilator of the strip
+    sequence X(2), X(3), ..., whose scaled characteristic polynomial is
+    (s - t)(s^2 + p s + q); works over the integers and over IntPolynomial.
+
+    By Cayley-Hamilton the cubic annihilates the sequence from n = 2 on.
+    The residual r(n) = X(n+2) + p X(n+1) + q X(n) then obeys
+    r(n+1) = t r(n), so when r(2) is exactly zero the quadratic alone
+    annihilates it (face-framed planar ends); otherwise the cubic is used.
+    """
+    if not (x4 + p * x3 + q * x2):
+        return (q, p)
+    return (-t * q, q - t * p, p - t)
 
 
-def _int_mat_pow(m: Sequence, k: int) -> tuple:
-    result = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-    base = tuple(tuple(row) for row in m)
-    while k:
-        if k & 1:
-            result = _int_mat_mul(result, base)
-        base = _int_mat_mul(base, base)
-        k >>= 1
-    return result
+def _power_mod(k: int, low: Sequence[int]) -> list:
+    """Coefficients, constant first, of s^k modulo the monic integer
+    polynomial s^d + low[d-1] s^(d-1) + ... + low[0], by square-and-multiply."""
+    d = len(low)
+
+    def reduce(c: list) -> list:
+        for top in range(len(c) - 1, d - 1, -1):
+            lead = c[top]
+            if lead:
+                for i in range(d):
+                    c[top - d + i] -= lead * low[i]
+        return c[:d]
+
+    r = [1] + [0] * (d - 1)
+    for bit in bin(k)[2:]:
+        sq = [0] * (2 * d - 1)
+        for i in range(d):
+            sq[2 * i] += r[i] * r[i]
+            for j in range(i + 1, d):
+                sq[i + j] += 2 * r[i] * r[j]
+        r = reduce(sq)
+        if bit == "1":
+            r = reduce([0] + r)
+    return r
 
 
 def family_value_at(qa: PartitionVector, qb: PartitionVector, n: int,
                     x: Fraction) -> Fraction:
     """Exact value of the strip-family chromatic polynomial at a rational
-    point, via repeated squaring of the evaluated transfer matrix.
+    point, from the strip recurrence by square-and-multiply.
 
-    Everything is cleared to integers first: with x = a/b, the matrix
-    b^4 * MD(x) is integral (MD entries have degree <= 4), so the O(log n)
-    squarings run over plain integers.
+    With x = a/b everything is cleared to integers: S = b^4 MD(x) is
+    integral (MD entries have degree <= 4), so Y(k) = b^(4(k-1)) X(k) for
+    k = 1..4 are integers over one common denominator, and Y obeys the
+    strip recurrence with P = b^4 b1(x), Q = b^8 b2(x) and T = 2 b^4.  Then
+    Y(n) = sum_i r_i Y(i+2) with r = s^(n-2) mod the recurrence's modulus,
+    and X(n) = Y(n) / b^(4(n-1)).
     """
     if n < 1:
         raise ValueError("strip length must be >= 1")
@@ -199,24 +256,30 @@ def family_value_at(qa: PartitionVector, qb: PartitionVector, n: int,
     if x in (0, 1, 2, 3):
         raise SingularWeightError(f"gluing weight D is singular at x = {x}")
     a, b = x.numerator, x.denominator
-    md = build_MD()
-    scaled = tuple(tuple(e.scaled_value(a, b, min_degree=4) for e in row)
-                   for row in md.entries)
-    power = _int_mat_pow(scaled, n - 1)
-    denom = b ** (4 * (n - 1))
-    vb = [p.eval_fraction(x) for p in qb]
-    va = [p.eval_fraction(x) for p in qa]
-    u = []
-    for i in range(4):
-        acc = Fraction(0)
-        for j in range(4):
-            acc += Fraction(power[i][j]) * vb[j]
-        u.append(acc / denom)
-    total = Fraction(0)
-    for i in range(4):
-        w = falling_factorial_at(TYPE_COLOUR_COUNTS[i], x)
-        total += va[i] * u[i] / w
-    return total
+    md = tuple(tuple(e.scaled_value(a, b, min_degree=4) for e in row)
+               for row in build_MD().entries)
+    # Q(A)^T D at x over a common denominator c; Q(B) scaled by b^degree.
+    weighted = [p.eval_fraction(x) / falling_factorial_at(s, x)
+                for p, s in zip(qa, TYPE_COLOUR_COUNTS)]
+    c = math.lcm(*(w.denominator for w in weighted))
+    ua = [w.numerator * (c // w.denominator) for w in weighted]
+    degree_b = max(0, *(p.degree for p in qb))
+    v = [p.scaled_value(a, b, min_degree=degree_b) for p in qb]
+    ys = []
+    for k in range(min(n, 4)):
+        if k:
+            v = [sum(m * e for m, e in zip(row, v)) for row in md]
+        ys.append(sum(u * e for u, e in zip(ua, v)))
+    if n <= 4:
+        numerator = ys[n - 1]
+    else:
+        low = _strip_modulus(ys[1], ys[2], ys[3],
+                             CHAR_B1.scaled_value(a, b, min_degree=4),
+                             CHAR_B2.scaled_value(a, b, min_degree=8),
+                             2 * b ** 4)
+        r = _power_mod(n - 2, low)
+        numerator = sum(ri * yi for ri, yi in zip(r, ys[1:]))
+    return Fraction(numerator, c * b ** (degree_b + 4 * (n - 1)))
 
 
 def family_sign_at(qa: PartitionVector, qb: PartitionVector, n: int,

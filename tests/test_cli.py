@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from chromroots.cli import main
+from chromroots.cli import MAX_BITS, MAX_DIGITS, MAX_POINTWISE_N, main
+from chromroots.tables import DOUBLING_ROWS
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +48,34 @@ def test_qvec_requires_frame(tmp_path):
     path.write_text("vertices 2\nedge 0 1\n")
     with pytest.raises(SystemExit):
         main(["qvec", str(path)])
+
+
+def _assert_one_line_error(capsys, *argv):
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_input_gives_one_line_and_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_text("vertices 3\nedge 0 9\n")
+    _assert_one_line_error(capsys, "poly", str(path))
+    _assert_one_line_error(capsys, "family", "--endA", "W4", "--endB", "W4",
+                           "--n", "0")
+    _assert_one_line_error(capsys, "root4", "--endA", "W4", "--endB", "W4",
+                           "--n", "0")
+
+
+def test_pointwise_caps(capsys):
+    _assert_one_line_error(capsys, "root4", "--endA", "H", "--endB", "W4",
+                           "--n", str(MAX_POINTWISE_N + 1))
+    _assert_one_line_error(capsys, "root4", "--endA", "H", "--endB", "W4",
+                           "--n", "513", "--digits", str(MAX_DIGITS + 1))
+    _assert_one_line_error(capsys, "croots", "--n", "10",
+                           "--bits", str(MAX_BITS + 1))
+    # Every bundled table row fits under the caps.
+    assert max(DOUBLING_ROWS) + 1 <= MAX_POINTWISE_N
+    assert 10 <= MAX_DIGITS and 256 <= MAX_BITS
 
 
 def test_family_json(capsys):

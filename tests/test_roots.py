@@ -42,6 +42,17 @@ def test_bisect_exact_hit():
     fine = bisect(br, p.sign_at, Fraction(1, 100))
     assert fine.lo < 1 < fine.hi
     assert fine.width <= Fraction(1, 100)
+    assert p.sign_at(fine.lo) == fine.sign_lo
+    assert p.sign_at(fine.hi) == fine.sign_hi
+
+
+def test_bisect_exact_hit_on_double_root():
+    # (x - 1)^2 (4x - 5): opposite signs at 1/2 and 3/2, but the midpoint 1
+    # is a double root with the same sign on both sides.
+    p = IntPolynomial([-5, 14, -13, 4])
+    br = RootBracket(Fraction(1, 2), Fraction(3, 2), -1, 1)
+    with pytest.raises(NoSignChangeError, match="even multiplicity"):
+        bisect(br, p.sign_at, Fraction(1, 100))
 
 
 def test_fraction_to_decimal():

@@ -2,15 +2,20 @@
 identity."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chromroots.chromatic import chromatic_polynomial
+from chromroots.chromatic import PartitionVector, chromatic_polynomial
 from chromroots.exactnum import (FallingFactorialCombo, IntPolynomial,
-                                 falling_factorial)
+                                 falling_factorial, falling_factorial_at)
 from chromroots.graphs import (Graph, cycle_graph, double_ended_strip,
                                framed_square, load_fixture, wheel4)
-from chromroots.transfer import (SingularWeightError, build_M,
+from chromroots.transfer import (CHAR_B1, CHAR_B2, TYPE_COLOUR_COUNTS,
+                                 SingularWeightError, _strip_modulus, build_M,
                                  build_MD, extend_one_layer, family_polynomial,
                                  family_sign_at, family_value_at, glue,
                                  gluing_weights, golden_identity_check,
@@ -166,3 +171,119 @@ def test_verify_M_oracle_subrange():
     for i in range(4):
         for j in range(4):
             assert report.interpolated[(i, j)] == build_M().entries[i][j]
+
+
+# ----------------------------------------------------------------------------
+# Strip recurrence against the 4x4 transfer-matrix path
+# ----------------------------------------------------------------------------
+
+MAX_ORACLE_N = 20
+TWO = IntPolynomial.constant(2)
+
+#: Rationals away from the singular points 0..3 of the gluing weight D.
+points = st.fractions(min_value=-6, max_value=6, max_denominator=2 ** 32) \
+    .filter(lambda x: x not in (0, 1, 2, 3))
+
+#: Arbitrary partition-like vectors (ff2 r1, ff3 r2, ff3 r3, ff4 r4): gluing
+#: and layer extension stay exact on them, but nothing makes them planar,
+#: so the strip recurrence generally needs its cubic modulus.
+framed_vectors = st.tuples(*[st.lists(st.integers(-9, 9), max_size=4)] * 4) \
+    .map(lambda rs: PartitionVector(*(w * IntPolynomial(r) for w, r
+                                      in zip(gluing_weights(), rs))))
+
+NON_PLANAR = PartitionVector(FF(2), IntPolynomial.zero(), IntPolynomial.zero(),
+                             IntPolynomial.zero())
+
+
+@pytest.fixture(scope="module")
+def fixture_vectors(q_h, q_l, q_w4, q_neg10):
+    return {"H": q_h, "L": q_l, "W4": q_w4, "neg10": q_neg10}
+
+
+def oracle_strip(qa, qb, max_n):
+    """X(1..max_n) by repeated one-layer extension."""
+    out, grown = [], qb
+    for _ in range(max_n):
+        out.append(glue(qa, grown))
+        grown = extend_one_layer(grown)
+    return out
+
+
+@lru_cache(maxsize=None)
+def md_power(k):
+    return build_MD().power(k)
+
+
+def oracle_value(qa, qb, n, x):
+    """Q(A)^T D (MD)^(n-1) Q(B) at x, from the symbolic matrix power."""
+    power = md_power(n - 1).evaluate(x)
+    va, vb = qa.eval_fraction(x), qb.eval_fraction(x)
+    return sum(va[i] * sum(power[i][j] * vb[j] for j in range(4))
+               / falling_factorial_at(s, x)
+               for i, s in enumerate(TYPE_COLOUR_COUNTS))
+
+
+def newton_char_quadratic(m):
+    """(b1, b2) of the characteristic polynomial t (t - 2) (t^2 + b1 t + b2)
+    of a 4x4 rational matrix, by Newton's identities on power traces."""
+    def matmul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4))
+                           for j in range(4)) for i in range(4))
+
+    powers = [m]
+    for _ in range(3):
+        powers.append(matmul(powers[-1], m))
+    t = [sum(p[i][i] for i in range(4)) for p in powers]
+    e1 = t[0]
+    e2 = (e1 * t[0] - t[1]) / 2
+    e3 = (e2 * t[0] - e1 * t[1] + t[2]) / 3
+    e4 = (e3 * t[0] - e2 * t[1] + e1 * t[2] - t[3]) / 4
+    assert e4 == 0
+    # char/t = t^3 - e1 t^2 + e2 t - e3; synthetic division by (t - 2).
+    b1 = -e1 + 2
+    b2 = e2 + 2 * b1
+    assert -e3 + 2 * b2 == 0
+    return b1, b2
+
+
+@pytest.mark.parametrize("x", [Fraction(4), Fraction(181, 50), Fraction(5),
+                               Fraction(-1, 2), Fraction(7, 3), Fraction(1, 7),
+                               4 - Fraction(1, 2 ** 20), Fraction(10),
+                               Fraction(0)])
+def test_char_quadratic_constants_match_newton_identities(x):
+    b1, b2 = newton_char_quadratic(build_MD().evaluate(x))
+    assert (CHAR_B1.eval_fraction(x), CHAR_B2.eval_fraction(x)) == (b1, b2)
+
+
+def test_recurrence_matches_extension_for_fixture_pairs(fixture_vectors):
+    for qa, qb in product(fixture_vectors.values(), repeat=2):
+        expected = oracle_strip(qa, qb, MAX_ORACLE_N)
+        # Face-framed planar ends: r(2) = 0, so the quadratic is used.
+        assert len(_strip_modulus(*expected[1:4], CHAR_B1, CHAR_B2, TWO)) == 2
+        for n in range(1, MAX_ORACLE_N + 1):
+            assert family_polynomial(qa, qb, n) == expected[n - 1]
+
+
+@settings(max_examples=10, deadline=None)
+@given(x=points)
+@example(x=Fraction(4))
+@example(x=4 - Fraction(1, 2 ** 30))
+def test_value_at_matches_matrix_power_for_fixture_pairs(fixture_vectors, x):
+    for n in range(1, MAX_ORACLE_N + 1):
+        for qa, qb in product(fixture_vectors.values(), repeat=2):
+            assert family_value_at(qa, qb, n, x) == oracle_value(qa, qb, n, x)
+
+
+def test_non_planar_pair_takes_the_cubic():
+    xs = oracle_strip(NON_PLANAR, NON_PLANAR, 4)
+    assert len(_strip_modulus(*xs[1:4], CHAR_B1, CHAR_B2, TWO)) == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(qa=framed_vectors, qb=framed_vectors, x=points)
+@example(qa=NON_PLANAR, qb=NON_PLANAR, x=Fraction(4))
+def test_recurrence_matches_oracle_for_arbitrary_vectors(qa, qb, x):
+    expected = oracle_strip(qa, qb, 12)
+    for n in range(1, 13):
+        assert family_polynomial(qa, qb, n) == expected[n - 1]
+        assert family_value_at(qa, qb, n, x) == oracle_value(qa, qb, n, x)
