@@ -1,17 +1,17 @@
 """Compare the benchmark of two source checkouts in alternating pairs and
 write the result as a BENCH_<label>.json file.
 
-    python3 bench/compare.py PARENT_DIR CHANGE_DIR --label strip_recurrence \\
-        --pairs 10 --traced-pairs 1
+    python3 bench/compare.py PARENT_DIR CHANGE_DIR --label strip_recurrence
 
 For every workload of BENCHMARK.json, each pair runs `perfbench/run.py` once
 in each checkout with the same seed and BENCHMARK.json's `run_seconds`,
-alternating which checkout runs first.  Seeds are 1..pairs untraced and
-1..traced-pairs traced.  The output gives, per workload and side, the
-median and quartiles of every end-to-end metric and of the checks'
-failure fraction, the number of pairs the change won on each metric (ties
-count for neither side), and the medians of the traced layer metrics named
-in LAYER_METRICS below.  Runs are strictly one at a time.
+alternating which checkout runs first.  Seeds are 1..PAIRS untraced and
+1..TRACED_PAIRS traced.  The output, written to CHANGE_DIR, gives per
+workload and side the summary of perfbench/baseline.py (median, quartiles,
+spread, n) of every end-to-end metric and of the checks' failure fraction,
+the number of pairs the change won on each metric (ties count for neither
+side), and the same summary of the traced layer metrics named in
+LAYER_METRICS below.  Runs are strictly one at a time.
 """
 
 from __future__ import annotations
@@ -20,11 +20,15 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from baseline import summary  # noqa: E402
+
+PAIRS = 10
+TRACED_PAIRS = 1
 #: Traced layer metrics recorded beside the end-to-end ones.
 LAYER_METRICS = ("transfer.value_at_ms", "transfer.layers_extended",
                  "exactnum.poly_mul_calls")
@@ -45,13 +49,6 @@ def values_of(result: dict) -> dict:
     out = {name: m["value"] for name, m in result["metrics"].items()}
     out["fail_frac"] = result["failed"] / max(result["attempted"], 1)
     return out
-
-
-def summary(values: list) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 \
-        else (values[0],) * 3
-    return {"median": statistics.median(values), "q1": q1, "q3": q3,
-            "n": len(values)}
 
 
 def run_pairs(sides: dict, workload: str, seeds: range, seconds: int,
@@ -86,29 +83,23 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--label", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--traced-pairs", type=int, default=1)
-    ap.add_argument("--workloads", nargs="*",
-                    help="subset of BENCHMARK.json's workloads")
+    ap.add_argument("--label", required=True,
+                    help="the output is CHANGE_DIR/BENCH_<label>.json")
     args = ap.parse_args()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     end_to_end = [m["name"] for m in spec["end_to_end"]] + ["fail_frac"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    report = {"run_seconds": seconds, "pairs": args.pairs,
-              "traced_pairs": args.traced_pairs,
+    report = {"run_seconds": seconds, "pairs": PAIRS,
+              "traced_pairs": TRACED_PAIRS,
               "machine": {"python": platform.python_version(),
                           "processor": platform.machine(),
                           "nproc": os.cpu_count()},
               "workloads": {}}
     for w in spec["workloads"]:
         name = w["name"]
-        if args.workloads and name not in args.workloads:
-            continue
-        runs = run_pairs(sides, name, range(1, args.pairs + 1), seconds, 0)
-        traced = run_pairs(sides, name, range(1, args.traced_pairs + 1),
-                           seconds, 1)
+        runs = run_pairs(sides, name, range(1, PAIRS + 1), seconds, 0)
+        traced = run_pairs(sides, name, range(1, TRACED_PAIRS + 1), seconds, 1)
         report["workloads"][name] = {
             "end_to_end": compare(runs, end_to_end),
             "per_layer": compare(traced, list(LAYER_METRICS))}
