@@ -31,7 +31,7 @@ PAIRS = 10
 TRACED_PAIRS = 1
 #: Traced layer metrics recorded beside the end-to-end ones.
 LAYER_METRICS = ("transfer.value_at_ms", "transfer.layers_extended",
-                 "exactnum.poly_mul_calls")
+                 "exactnum.poly_mul_calls", "roots.croots_s")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int,

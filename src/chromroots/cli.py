@@ -16,8 +16,9 @@ Graphs are given as file paths or bundled fixture names (W4, H, L, neg10).
 All outputs are deterministic for a fixed configuration.  Bad input (a
 malformed graph file, an option out of range) gives a one-line error on
 stderr and exit code 2.  The pointwise options are capped before any work
-starts: root4 --n <= MAX_POINTWISE_N, root4 --digits <= MAX_DIGITS and
-croots --bits <= MAX_BITS.
+starts: root4 --n <= MAX_POINTWISE_N, root4 --digits <= MAX_DIGITS,
+croots --bits <= MAX_BITS, and the croots strip's vertex count (its
+degree) <= roots.MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from . import __version__
 from .chromatic import (PartitionVector, ResourceLimitError,
                         chromatic_polynomial, partitioned_chromatic)
 from .graphs import FIXTURE_NAMES, FramedGraph, load_fixture, parse_graph_text
-from .roots import (NoSignChangeError, complex_roots, fraction_to_decimal,
-                    largest_root_near_four)
+from .roots import (MAX_DEGREE, NoSignChangeError, complex_roots,
+                    fraction_to_decimal, largest_root_near_four)
 from .spectral import classify_end_graph
 from .tables import (BY_N_ROWS, DOUBLING_ROWS, ROOT_TOLERANCE,
                      reference_partition_components, reference_roots_by_n,
@@ -64,14 +65,14 @@ def _load_graph(spec: str):
     stem = spec[:-6] if spec.endswith(".graph") else spec
     if stem in FIXTURE_NAMES:
         return load_fixture(stem)
-    raise SystemExit(f"error: {spec!r} is neither a file nor a bundled "
+    raise ValueError(f"{spec!r} is neither a file nor a bundled "
                      f"fixture {FIXTURE_NAMES}")
 
 
 def _load_framed(spec: str) -> FramedGraph:
     g = _load_graph(spec)
     if not isinstance(g, FramedGraph):
-        raise SystemExit(f"error: graph {spec!r} has no frame line")
+        raise ValueError(f"graph {spec!r} has no frame line")
     return g
 
 
@@ -218,9 +219,11 @@ def cmd_verify_m(args) -> int:
 
 def cmd_croots(args) -> int:
     _check_range("--bits", args.bits, 1, MAX_BITS)
-    fam = StripFamily.from_framed(_load_framed(args.endA),
-                                  _load_framed(args.endB),
-                                  f"{args.endA},{args.endB}")
+    end_a, end_b = _load_framed(args.endA), _load_framed(args.endB)
+    # The strip polynomial's degree is its vertex count |A| + |B| + 4n - 8.
+    ends = end_a.graph.vertex_count + end_b.graph.vertex_count
+    _check_range("--n", args.n, 1, (MAX_DEGREE + 8 - ends) // 4)
+    fam = StripFamily.from_framed(end_a, end_b, f"{args.endA},{args.endB}")
     p = fam.polynomial(args.n, symbolic_limit=max(args.n, 128))
     rs = complex_roots(p, args.bits, max_iter=args.max_iter)
     lines = ["re,im"]

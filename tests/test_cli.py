@@ -3,10 +3,10 @@ codes."""
 
 import json
 
-import pytest
-
 from chromroots.cli import MAX_BITS, MAX_DIGITS, MAX_POINTWISE_N, main
+from chromroots.roots import MAX_DEGREE
 from chromroots.tables import DOUBLING_ROWS
+from chromroots.transfer import StripFamily
 
 
 def run_cli(capsys, *argv):
@@ -39,15 +39,13 @@ def test_poly_from_file(tmp_path, capsys):
 
 
 def test_unknown_graph_errors(capsys):
-    with pytest.raises(SystemExit):
-        main(["poly", "missing-graph"])
+    _assert_one_line_error(capsys, "poly", "missing-graph")
 
 
-def test_qvec_requires_frame(tmp_path):
+def test_qvec_requires_frame(tmp_path, capsys):
     path = tmp_path / "bare.graph"
     path.write_text("vertices 2\nedge 0 1\n")
-    with pytest.raises(SystemExit):
-        main(["qvec", str(path)])
+    _assert_one_line_error(capsys, "qvec", str(path))
 
 
 def _assert_one_line_error(capsys, *argv):
@@ -73,9 +71,23 @@ def test_pointwise_caps(capsys):
                            "--n", "513", "--digits", str(MAX_DIGITS + 1))
     _assert_one_line_error(capsys, "croots", "--n", "10",
                            "--bits", str(MAX_BITS + 1))
+    _assert_one_line_error(capsys, "croots", "--n", "0")
     # Every bundled table row fits under the caps.
     assert max(DOUBLING_ROWS) + 1 <= MAX_POINTWISE_N
     assert 10 <= MAX_DIGITS and 256 <= MAX_BITS
+
+
+def test_croots_degree_cap_before_building_the_strip(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(StripFamily, "from_framed",
+                        lambda *ends: built.append(ends))
+    # W4,W4 strip 1000 has 4000 vertices; H,W4 strip 147 has 16+5+588-8.
+    _assert_one_line_error(capsys, "croots", "--endA", "W4", "--endB", "W4",
+                           "--n", "1000", "--bits", "64")
+    _assert_one_line_error(capsys, "croots", "--endA", "H", "--endB", "W4",
+                           "--n", "147")
+    assert 16 + 5 + 4 * 146 - 8 <= MAX_DEGREE < 16 + 5 + 4 * 147 - 8
+    assert built == []
 
 
 def test_family_json(capsys):

@@ -9,8 +9,9 @@ import pytest
 from chromroots.chromatic import chromatic_polynomial
 from chromroots.exactnum import IntPolynomial
 from chromroots.graphs import cycle_graph, load_fixture
-from chromroots.roots import (NoSignChangeError, RootBracket,
-                              bisect, bracket_near_four, complex_roots,
+from chromroots.roots import (MAX_DEGREE, NoSignChangeError, RootBracket,
+                              _split_coincident, bisect, bracket_near_four,
+                              complex_roots,
                               fraction_to_decimal, largest_root_near_four,
                               poly_gcd, squarefree_factors, squarefree_part,
                               sturm_count)
@@ -171,6 +172,48 @@ def test_complex_roots_conjugate_closure_and_moments():
         assert abs(abs(prod) - abs(mp.mpf(c[1]) / mp.mpf(c[-1]))) < mp.mpf(2) ** -80
 
 
+def test_complex_roots_separates_real_roots_closer_than_float():
+    # Real roots 1 and 1 + 2^-70, which no float can tell apart, and +-i.
+    a = 2 ** 70
+    p = (IntPolynomial([-a, a]) * IntPolynomial([-a - 1, a])
+         * IntPolynomial([1, 0, 1]))
+    rs = complex_roots(p)
+    with mp.workprec(400):
+        tiny = mp.mpf(2) ** -200
+        assert len(rs.roots) == 4
+        reals = rs.real_roots()
+        assert len(reals) == 2
+        assert abs(reals[0] - 1) < tiny
+        assert abs(reals[1] - 1 - mp.mpf(2) ** -70) < tiny
+        for re, im in rs.roots:
+            assert any(r2 == re and i2 == -im for r2, i2 in rs.roots)
+        assert rs.max_residual < mp.mpf(2) ** -64
+
+
+def test_coincident_seeds_are_split():
+    ys = [1 + 0j, 1 + 0j, 0j, 1 + 0j, 0j, 2j]
+    seeds = _split_coincident(ys)
+    assert len(set(seeds)) == len(ys)
+    assert all(abs(s - y) <= 2 ** -38 * max(abs(y), 1)
+               for s, y in zip(seeds, ys))
+
+
+def test_complex_roots_scaling_prevents_float_overflow():
+    # Coefficients above 2^1024, beyond the range of a float.
+    exact = [1, 2 ** 500, 2 ** 600]
+    p = IntPolynomial([1])
+    for r in exact:
+        p = p * IntPolynomial([-r, 1])
+    assert max(abs(c) for c in p.coefficients) > 2 ** 1024
+    rs = complex_roots(p)
+    assert all(im == 0 for _, im in rs.roots)
+    with mp.workprec(400):
+        for (re, _), r in zip(rs.roots, exact):
+            assert abs(re - r) <= mp.mpf(2) ** -200 * r
+
+
 def test_complex_roots_rejects_bad_degrees():
     with pytest.raises(ValueError):
         complex_roots(IntPolynomial([3]))
+    with pytest.raises(ValueError):
+        complex_roots(IntPolynomial.monomial(MAX_DEGREE + 1))
