@@ -22,7 +22,6 @@ DEFAULT_CACHE_LIMIT = 400_000
 DEFAULT_ORACLE_BUDGET = 40_000_000
 
 _ONE = IntPolynomial((1,))
-_X = IntPolynomial((0, 1))
 
 
 class ResourceLimitError(RuntimeError):
@@ -281,12 +280,14 @@ def _oracle_order(g: Graph) -> list:
     return order
 
 
-def count_colourings_oracle(g: Graph, x: int, *,
-                            step_budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """Number of proper x-colourings by exhaustive backtracking.
+def _walk_colourings(g: Graph, order: list, x: int, step_budget: int,
+                     typed: bool) -> dict:
+    """Proper x-colourings of g by exhaustive backtracking along `order`.
 
     Independent of the polynomial engine.  Enforces the documented bounds
-    (x <= 12, vertex_count <= 12) and a step budget.
+    (x <= 12, vertex_count <= 12) and a step budget.  Returns {None: count},
+    or with `typed` the counts keyed by the ColouringType of the colours on
+    the first four vertices of `order`.
     """
     if x < 0:
         raise ValueError("colour count must be >= 0")
@@ -294,64 +295,15 @@ def count_colourings_oracle(g: Graph, x: int, *,
         raise ResourceLimitError(
             f"oracle bounds are x <= {ORACLE_MAX_COLOURS}, "
             f"n <= {ORACLE_MAX_VERTICES}")
-    n = g.vertex_count
-    if n == 0:
-        return 1
-    if x == 0:
-        return 0
-    order = _oracle_order(g)
+    n = len(order)
     masks = g.adjacency_masks()
     # pred[i]: positions (in colouring order) of earlier neighbours of order[i]
-    pred = []
     pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        pred.append([pos[u] for u in _iter_bits(masks[v]) if pos[u] < i])
-    steps = 0
+    pred = [[pos[u] for u in _iter_bits(masks[v]) if pos[u] < i]
+            for i, v in enumerate(order)]
+    palette = (1 << x) - 1
     assigned = [0] * n
-
-    def count_from(depth: int) -> int:
-        nonlocal steps
-        if depth == n:
-            return 1
-        steps += 1
-        if steps > step_budget:
-            raise ResourceLimitError("oracle step budget exceeded")
-        forbidden = 0
-        for j in pred[depth]:
-            forbidden |= 1 << assigned[j]
-        total_here = 0
-        m = ~forbidden & ((1 << x) - 1)
-        while m:
-            cbit = m & -m
-            m ^= cbit
-            assigned[depth] = cbit.bit_length() - 1
-            total_here += count_from(depth + 1)
-        return total_here
-
-    return count_from(0)
-
-
-def count_colourings_by_type(fg: FramedGraph, x: int, *,
-                             step_budget: int = DEFAULT_ORACLE_BUDGET) -> Dict[ColouringType, int]:
-    """Brute-force proper-colouring counts split by frame colour pattern."""
-    g = fg.graph
-    if x > ORACLE_MAX_COLOURS or g.vertex_count > ORACLE_MAX_VERTICES:
-        raise ResourceLimitError(
-            f"oracle bounds are x <= {ORACLE_MAX_COLOURS}, "
-            f"n <= {ORACLE_MAX_VERTICES}")
-    n = g.vertex_count
-    counts = {t: 0 for t in ColouringType}
-    if x == 0 or n == 0:
-        return counts
-    masks = g.adjacency_masks()
-    # Put the frame first so each completed colouring classifies cheaply.
-    rest = [v for v in range(n) if v not in fg.frame]
-    order = list(fg.frame) + rest
-    pos = {v: i for i, v in enumerate(order)}
-    pred = []
-    for i, v in enumerate(order):
-        pred.append([pos[u] for u in _iter_bits(masks[v]) if pos[u] < i])
-    assigned = [0] * n
+    counts = dict.fromkeys(ColouringType, 0) if typed else {}
     steps = 0
 
     def walk(depth: int) -> int:
@@ -365,22 +317,35 @@ def count_colourings_by_type(fg: FramedGraph, x: int, *,
         for j in pred[depth]:
             forbidden |= 1 << assigned[j]
         total_here = 0
-        m = ~forbidden & ((1 << x) - 1)
+        m = palette & ~forbidden
         while m:
             cbit = m & -m
             m ^= cbit
             assigned[depth] = cbit.bit_length() - 1
-            if depth == 3:
-                counts_key = ColouringType.classify(assigned[0], assigned[1],
-                                                    assigned[2], assigned[3])
-                counts[counts_key] += walk(depth + 1)
+            if typed and depth == 3:
+                counts[ColouringType.classify(*assigned[:4])] += walk(depth + 1)
             else:
                 total_here += walk(depth + 1)
         return total_here
 
-    if n >= 4:
-        walk(0)
-    return counts
+    total = walk(0)
+    return counts if typed else {None: total}
+
+
+def count_colourings_oracle(g: Graph, x: int, *,
+                            step_budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+    """Number of proper x-colourings by exhaustive backtracking (see
+    _walk_colourings for the bounds)."""
+    return _walk_colourings(g, _oracle_order(g), x, step_budget, False)[None]
+
+
+def count_colourings_by_type(fg: FramedGraph, x: int, *,
+                             step_budget: int = DEFAULT_ORACLE_BUDGET) -> Dict[ColouringType, int]:
+    """Brute-force proper-colouring counts split by frame colour pattern."""
+    # Put the frame first so each colouring classifies at depth 4.
+    order = list(fg.frame) + [v for v in range(fg.graph.vertex_count)
+                              if v not in fg.frame]
+    return _walk_colourings(fg.graph, order, x, step_budget, True)
 
 
 # ----------------------------------------------------------------------------

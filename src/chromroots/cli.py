@@ -18,7 +18,8 @@ malformed graph file, an option out of range) gives a one-line error on
 stderr and exit code 2.  The pointwise options are capped before any work
 starts: root4 --n <= MAX_POINTWISE_N, root4 --digits <= MAX_DIGITS,
 croots --bits <= MAX_BITS, and the croots strip's vertex count (its
-degree) <= roots.MAX_DEGREE.
+degree) <= roots.MAX_DEGREE.  Every subcommand that runs the
+deletion-contraction engine (all but verify-M) takes --node-budget.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .chromatic import (PartitionVector, ResourceLimitError,
-                        chromatic_polynomial, partitioned_chromatic)
+from .chromatic import (DEFAULT_NODE_BUDGET, PartitionVector,
+                        ResourceLimitError, chromatic_polynomial,
+                        partitioned_chromatic)
 from .graphs import FIXTURE_NAMES, FramedGraph, load_fixture, parse_graph_text
 from .roots import (MAX_DEGREE, NoSignChangeError, complex_roots,
                     fraction_to_decimal, largest_root_near_four)
@@ -76,12 +78,24 @@ def _load_framed(spec: str) -> FramedGraph:
     return g
 
 
+def _load_ends(args) -> tuple:
+    return _load_framed(args.endA), _load_framed(args.endB)
+
+
+def _strip_family(args, ends: tuple) -> StripFamily:
+    """The strip family of two loaded end-graphs, each partitioned under
+    the --node-budget cap."""
+    qa, qb = (partitioned_chromatic(end, node_budget=args.node_budget)
+              for end in ends)
+    return StripFamily(qa, qb, f"{args.endA},{args.endB}")
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         out = text
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(out)
     else:
         sys.stdout.write(out)
@@ -116,9 +130,7 @@ def cmd_qvec(args) -> int:
 
 
 def cmd_family(args) -> int:
-    fam = StripFamily.from_framed(_load_framed(args.endA),
-                                  _load_framed(args.endB),
-                                  f"{args.endA},{args.endB}")
+    fam = _strip_family(args, _load_ends(args))
     p = fam.polynomial(args.n, symbolic_limit=args.symbolic_limit)
     payload = {"endA": args.endA, "endB": args.endB, "n": args.n,
                "degree": p.degree, "coefficients": p.to_decimal_strings()}
@@ -129,9 +141,7 @@ def cmd_family(args) -> int:
 def cmd_root4(args) -> int:
     _check_range("--n", args.n, 1, MAX_POINTWISE_N)
     _check_range("--digits", args.digits, 0, MAX_DIGITS)
-    fam = StripFamily.from_framed(_load_framed(args.endA),
-                                  _load_framed(args.endB),
-                                  f"{args.endA},{args.endB}")
+    fam = _strip_family(args, _load_ends(args))
     width = Fraction(1, 10 ** (args.digits + 1))
     try:
         res = largest_root_near_four(fam, args.n, width=width,
@@ -180,10 +190,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_verify_golden(args) -> int:
-    fam = StripFamily.from_framed(_load_framed(args.endA),
-                                  _load_framed(args.endB),
-                                  f"{args.endA},{args.endB}")
-    sizes = (fam_vertex_count(args.endA), fam_vertex_count(args.endB))
+    ends = _load_ends(args)
+    fam = _strip_family(args, ends)
+    sizes = [end.graph.vertex_count for end in ends]
     ns = range(1, args.max_n + 1) if args.max_n else [args.n]
     results = []
     ok = True
@@ -198,10 +207,6 @@ def cmd_verify_golden(args) -> int:
                    f"{'pass' if r['passed'] else 'FAIL'}\n" for r in results)
     _emit(args, payload, text)
     return 0 if ok else 1
-
-
-def fam_vertex_count(spec: str) -> int:
-    return _load_framed(spec).graph.vertex_count
 
 
 def cmd_verify_m(args) -> int:
@@ -219,11 +224,11 @@ def cmd_verify_m(args) -> int:
 
 def cmd_croots(args) -> int:
     _check_range("--bits", args.bits, 1, MAX_BITS)
-    end_a, end_b = _load_framed(args.endA), _load_framed(args.endB)
+    ends = _load_ends(args)
     # The strip polynomial's degree is its vertex count |A| + |B| + 4n - 8.
-    ends = end_a.graph.vertex_count + end_b.graph.vertex_count
-    _check_range("--n", args.n, 1, (MAX_DEGREE + 8 - ends) // 4)
-    fam = StripFamily.from_framed(end_a, end_b, f"{args.endA},{args.endB}")
+    size = sum(end.graph.vertex_count for end in ends)
+    _check_range("--n", args.n, 1, (MAX_DEGREE + 8 - size) // 4)
+    fam = _strip_family(args, ends)
     p = fam.polynomial(args.n, symbolic_limit=max(args.n, 128))
     rs = complex_roots(p, args.bits, max_iter=args.max_iter)
     lines = ["re,im"]
@@ -232,10 +237,9 @@ def cmd_croots(args) -> int:
     for re, im in rs.roots:
         lines.append(f"{mp.nstr(re, digits)},{mp.nstr(im, digits)}")
     text = "\n".join(lines) + "\n"
-    target = args.out or getattr(args, "output", None)
-    if target:
-        Path(target).write_text(text)
-        sys.stdout.write(f"wrote {len(rs.roots)} roots to {target} "
+    if args.output:
+        Path(args.output).write_text(text)
+        sys.stdout.write(f"wrote {len(rs.roots)} roots to {args.output} "
                          f"(max residual {mp.nstr(rs.max_residual, 5)})\n")
     else:
         sys.stdout.write(text)
@@ -284,11 +288,7 @@ def cmd_reproduce_tables(args) -> int:
     all_ok = True
     t_start = time.time()
 
-    need_family = which in ("all", "table2", "table3")
-    fam = None
-    if which in ("all", "table1") or need_family:
-        h = load_fixture("H")
-        qh = partitioned_chromatic(h)
+    qh = partitioned_chromatic(load_fixture("H"), node_budget=args.node_budget)
     if which in ("all", "table1"):
         expected = reference_partition_components()
         ok = tuple(qh) == tuple(expected)
@@ -296,8 +296,10 @@ def cmd_reproduce_tables(args) -> int:
         all_ok = all_ok and ok
         sys.stdout.write(f"table1 (partition components): "
                          f"{'pass' if ok else 'FAIL'}\n")
-    if need_family:
-        fam = StripFamily(qh, partitioned_chromatic(load_fixture("W4")), "H,W4")
+    if which != "table1":
+        qw4 = partitioned_chromatic(load_fixture("W4"),
+                                    node_budget=args.node_budget)
+        fam = StripFamily(qh, qw4, "H,W4")
     if which in ("all", "table2"):
         rows = [n for n in BY_N_ROWS if n <= args.max_n]
         checks = _reproduce_roots(fam, rows, reference_roots_by_n(),
@@ -339,12 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--node-budget", type=int, default=4_000_000,
+    def node_budget(p):
+        p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
                        help="deletion-contraction node cap")
-        if output:
-            p.add_argument("-o", "--output", help="write output to a file")
+
+    def common(p, engine=True):
+        p.add_argument("--format", choices=("json", "text"), default="text")
+        if engine:
+            node_budget(p)
+        p.add_argument("-o", "--output", help="write output to a file")
 
     p = sub.add_parser("poly", help="chromatic polynomial of a graph")
     p.add_argument("graph")
@@ -394,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_golden)
 
     p = sub.add_parser("verify-M", help="brute-force check of the layer matrix")
-    common(p)
+    common(p, engine=False)
     p.set_defaults(func=cmd_verify_m)
 
     p = sub.add_parser("croots", help="complex roots of a strip polynomial")
@@ -405,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"working precision, at most {MAX_BITS}")
     p.add_argument("--max-iter", type=int, default=400,
                    help="iteration cap for the simultaneous root iteration")
-    p.add_argument("--out", help="CSV output path")
-    common(p)
+    p.add_argument("-o", "--output", "--out", help="write the CSV to a file")
+    node_budget(p)
     p.set_defaults(func=cmd_croots)
 
     p = sub.add_parser("reproduce-tables",
@@ -415,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=512)
     p.add_argument("--jobs", type=int, help="worker processes (default <= 4)")
     p.add_argument("--report", help="write a JSON report to this path")
-    common(p, output=False)
+    node_budget(p)
     p.set_defaults(func=cmd_reproduce_tables)
 
     return ap

@@ -13,9 +13,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-# Exact rational scalar used throughout the package.
-Rational = Fraction
-
 #: Largest n for which Stirling-number rows are generated.  The transfer
 #: matrix only ever needs falling factorials up to ff_8 per layer; 64 leaves
 #: ample headroom for hand experiments.
@@ -59,10 +56,6 @@ class IntPolynomial:
     @classmethod
     def constant(cls, value: int) -> "IntPolynomial":
         return cls((value,))
-
-    @classmethod
-    def x(cls) -> "IntPolynomial":
-        return cls((0, 1))
 
     @classmethod
     def monomial(cls, power: int, coefficient: int = 1) -> "IntPolynomial":
@@ -385,14 +378,10 @@ class FallingFactorialCombo:
         return cls({int(k): int(m) for k, m in obj.items()})
 
 
-def ff_to_power(combo: FallingFactorialCombo) -> IntPolynomial:
-    return combo.to_power()
-
-
 def power_to_ff(p: IntPolynomial) -> FallingFactorialCombo:
     """Rewrite a power-basis polynomial in the falling-factorial basis.
 
-    Uses x^n = sum_k S(n, k) ff_k; exact inverse of ff_to_power.
+    Uses x^n = sum_k S(n, k) ff_k; exact inverse of FallingFactorialCombo.to_power.
     """
     terms: dict = {}
     for n, c in enumerate(p.coefficients):
@@ -610,11 +599,6 @@ class QuadExt:
         if self.b == 0:
             return f"QuadExt({self.a})"
         return f"QuadExt({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def quad_sign(s: QuadExt) -> int:
-    """Exact sign (-1, 0, +1) of a quadratic-extension element."""
-    return s.sign()
 
 
 def sqrt_rational(q: Fraction) -> QuadExt:

@@ -213,10 +213,6 @@ class ColouringType(IntEnum):
         return (2, 3, 3, 4)[self - 1]
 
 
-#: Frame colour counts (s_1..s_4) indexed by colouring type - 1.
-FRAME_COLOUR_COUNTS = (2, 3, 3, 4)
-
-
 def diagonal_contraction(fg: FramedGraph) -> Graph:
     """Identify a1 with a3 and a2 with a4.
 
@@ -233,40 +229,19 @@ def type_auxiliary_graph(fg: FramedGraph, ctype: ColouringType) -> Graph | None:
     an edge.  Returns None when an identification hits an existing edge
     (that type count is identically zero)."""
     a1, a2, a3, a4 = fg.frame
+    same = (ctype in (ColouringType.TYPE1, ColouringType.TYPE2),
+            ctype in (ColouringType.TYPE1, ColouringType.TYPE3))
     g = fg.graph
+    equal_pairs = []
+    for pair, equal in zip(((a1, a3), (a2, a4)), same):
+        if equal:
+            equal_pairs.append(pair)
+        else:
+            g = g.add_edge(*pair)
     try:
-        if ctype is ColouringType.TYPE1:
-            return g.quotient([(a1, a3), (a2, a4)])
-        if ctype is ColouringType.TYPE2:
-            q = g.quotient([(a1, a3)])
-            u, v = _quotient_map(g, [(a1, a3)], (a2, a4))
-            return q.add_edge(u, v)
-        if ctype is ColouringType.TYPE3:
-            q = g.quotient([(a2, a4)])
-            u, v = _quotient_map(g, [(a2, a4)], (a1, a3))
-            return q.add_edge(u, v)
-        return g.add_edge(a1, a3).add_edge(a2, a4)
+        return g.quotient(equal_pairs)
     except AdjacentMergeError:
         return None
-
-
-def _quotient_map(g: Graph, pairs, verts) -> tuple:
-    """Images of `verts` under the same renumbering quotient() applies."""
-    parent = list(range(g.vertex_count))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    reps = sorted({find(v) for v in range(g.vertex_count)})
-    index = {r: i for i, r in enumerate(reps)}
-    return tuple(index[find(v)] for v in verts)
 
 
 # ----------------------------------------------------------------------------

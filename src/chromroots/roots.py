@@ -290,7 +290,9 @@ class ComplexRootSet:
 
     `roots` are (re, im) mpmath float pairs, conjugate-closed and sorted;
     a root is real (im exactly 0) if and only if Sturm's count says so.
-    `residuals` are |p(z)| / max|coeff| evaluated at doubled precision.
+    `residuals` are the relative residuals |p(z)| / sum_i |c_i| |z|^i,
+    evaluated at doubled precision (0 where p(z) is exactly 0, as at the
+    root 0 of a chromatic polynomial).
     """
 
     roots: tuple
@@ -444,7 +446,7 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256, *,
     stage at doubled precision when it does not settle or its non-real
     roots do not split evenly between the half-planes.  Residuals are
     evaluated against the original coefficients at doubled precision,
-    scaled by max|coeff|.
+    relative to sum_i |c_i| |z|^i (see ComplexRootSet).
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -455,7 +457,9 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256, *,
     for factor, mult in squarefree_factors(p):
         cs = factor.coefficients
         bound = Fraction(2 + max(map(abs, cs[:-1])) // abs(cs[-1]))
-        real_count = sturm_count(factor, -bound, bound)
+        # The factor is squarefree already, so its Sturm chain is direct.
+        seq = sturm_sequence(factor)
+        real_count = _sign_variations(seq, -bound) - _sign_variations(seq, bound)
         seeds = _seeds(factor, max_iter)
         for attempt, prec in enumerate((precision_bits, 2 * precision_bits)):
             try:
@@ -475,8 +479,11 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256, *,
 
     with mp.workprec(2 * precision_bits):
         allroots = sorted(collected, key=lambda t: (t[0], t[1]))
-        norm = mp.mpf(max(abs(c) for c in p.coefficients))
-        residuals = [abs(_horner(p.coefficients, mp.mpc(re, im))) / norm
-                     for re, im in allroots]
+        absc = [abs(c) for c in p.coefficients]
+        residuals = []
+        for re, im in allroots:
+            z = mp.mpc(re, im)
+            value = abs(_horner(p.coefficients, z))
+            residuals.append(value / _horner(absc, abs(z)) if value else value)
 
     return ComplexRootSet(tuple(allroots), tuple(residuals), precision_bits)

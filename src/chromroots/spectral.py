@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from functools import reduce
+from operator import add, mul
+from typing import List
 
 from .chromatic import PartitionVector
-from .exactnum import QuadExt, falling_factorial_at, quad_sign, squarefree_split
-from .transfer import (CHAR_B1, CHAR_B2, TYPE_COLOUR_COUNTS, build_MD,
+from .exactnum import QuadExt, sqrt_rational
+from .transfer import (CHAR_B1, CHAR_B2, build_MD, gluing_weight_values,
                        gluing_weights)
 
 #: Left end of the admissible evaluation interval: 181/50 = 3.62 exceeds
@@ -42,16 +44,6 @@ class InconclusiveError(RuntimeError):
     """The sign sweep did not reach the required agreement."""
 
 
-def transfer_values_at(x: Fraction) -> tuple:
-    """MD evaluated entrywise at a rational point (4x4 Fractions)."""
-    return build_MD().evaluate(x)
-
-
-def gluing_weight_values(x: Fraction) -> tuple:
-    """Diagonal of D at x: (ff2, ff3, ff3, ff4) values."""
-    return tuple(falling_factorial_at(s, x) for s in TYPE_COLOUR_COUNTS)
-
-
 def eigenvalues_at(x: Fraction) -> tuple:
     """(lambda1, lambda2, lambda3, lambda4) = (2, ., ., 0) at a rational x.
 
@@ -65,21 +57,11 @@ def eigenvalues_at(x: Fraction) -> tuple:
     disc = b1 * b1 - 4 * b2
     if disc < 0:
         raise ArithmeticError("complex quadratic eigenvalues inside the guard")
-    root, d = _sqrt_fraction(disc)
+    root = sqrt_rational(disc)
+    d = root.d if root.b else 1
     lam2 = (QuadExt(-b1, 0, d) + root) / 2
     lam3 = (QuadExt(-b1, 0, d) - root) / 2
     return Fraction(2), lam2, lam3, Fraction(0)
-
-
-def _sqrt_fraction(q: Fraction) -> Tuple[QuadExt, int]:
-    """Exact square root of a nonnegative rational plus its radicand."""
-    if q == 0:
-        return QuadExt(0, 0, 5), 1
-    num, den = q.numerator, q.denominator
-    m, d = squarefree_split(num * den)
-    if d == 1:
-        return QuadExt(Fraction(m, den), 0, 5), 1
-    return QuadExt(0, Fraction(m, den), d), d
 
 
 @dataclass(frozen=True)
@@ -150,7 +132,7 @@ def eigensystem_at(x: Fraction) -> EigenSystem:
         raise GuardError(f"x = {x} outside [{GUARD_LO}, 4)")
     lam1, lam2, lam3, lam4 = eigenvalues_at(x)
     d = lam2.d if not lam2.is_rational() else 1
-    md = transfer_values_at(x)
+    md = build_MD().evaluate(x)
 
     def solve(lam: QuadExt, target_last: int) -> tuple:
         dd = lam.d
@@ -170,27 +152,18 @@ def eigensystem_at(x: Fraction) -> EigenSystem:
                        lambda4=lam4, v2=v2, v3=v3)
 
 
-def _dot_weighted(u: Sequence, w: Sequence, v: Sequence):
-    acc = None
-    for ui, wi, vi in zip(u, w, v):
-        term = ui * wi * vi
-        acc = term if acc is None else acc + term
-    return acc
+def _dot(*vectors):
+    """sum_i u_i w_i ... over equal-length vectors of exact scalars, formed
+    left to right with no 0 or 1 start value."""
+    return reduce(add, (reduce(mul, entries) for entries in zip(*vectors)))
 
 
 def eigen_residual(es: EigenSystem, which: int) -> tuple:
     """(MD(x)) v - lambda v for eigenpair `which` (1..4); all-zero means the
     pair is exact."""
     lam, v = es.eigenpairs()[which - 1]
-    md = transfer_values_at(es.x)
-    out = []
-    for i in range(4):
-        acc = None
-        for j in range(4):
-            term = v[j] * md[i][j]
-            acc = term if acc is None else acc + term
-        out.append(acc - lam * v[i])
-    return tuple(out)
+    md = build_MD().evaluate(es.x)
+    return tuple(_dot(v, row) - lam * vi for row, vi in zip(md, v))
 
 
 def orthogonality_check(es: EigenSystem) -> bool:
@@ -201,8 +174,8 @@ def orthogonality_check(es: EigenSystem) -> bool:
     winv = tuple(1 / wi for wi in w)
     for i in range(4):
         for j in range(4):
-            prod = _dot_weighted(vecs[i], winv, vecs[j])
-            s = quad_sign(prod) if isinstance(prod, QuadExt) else \
+            prod = _dot(vecs[i], winv, vecs[j])
+            s = prod.sign() if isinstance(prod, QuadExt) else \
                 ((prod > 0) - (prod < 0))
             if i == j and s <= 0:
                 return False
@@ -221,15 +194,8 @@ class Decomposition:
     system: EigenSystem
 
     def reconstruct(self) -> tuple:
-        vecs = [self.system.v1, self.system.v2, self.system.v3, self.system.v4]
-        out = []
-        for k in range(4):
-            acc = None
-            for i in range(4):
-                term = self.alpha[i] * vecs[i][k]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return tuple(out)
+        vecs = (self.system.v1, self.system.v2, self.system.v3, self.system.v4)
+        return tuple(_dot(self.alpha, column) for column in zip(*vecs))
 
     def projection(self, i: int):
         """alpha_i * ||v_i||^2 = Q(x)^T D v_i for eigenvector i (1..4)."""
@@ -245,8 +211,8 @@ def decompose(q: PartitionVector, es: EigenSystem) -> Decomposition:
     alphas = []
     norms = []
     for v in vecs:
-        num = _dot_weighted(values, winv, v)
-        den = _dot_weighted(v, winv, v)
+        num = _dot(values, winv, v)
+        den = _dot(v, winv, v)
         if not isinstance(num, QuadExt):
             num = QuadExt(num, 0, es.d if es.d > 1 else 5)
         if not isinstance(den, QuadExt):
@@ -280,7 +246,7 @@ def second_projection_at(q: PartitionVector, x: Fraction) -> QuadExt:
     es = eigensystem_at(x)
     values = q.eval_fraction(x)
     winv = tuple(1 / wi for wi in es.weights())
-    out = _dot_weighted(values, winv, es.v2)
+    out = _dot(values, winv, es.v2)
     if not isinstance(out, QuadExt):
         out = QuadExt(out, 0, 5)
     return out
@@ -322,7 +288,7 @@ def classify_end_graph(q: PartitionVector, *, k_start: int = 4, k_end: int = 40,
     run_len = 0
     for k in range(k_start, k_end + 1):
         x = Fraction(4) - Fraction(1, 2 ** k)
-        s = quad_sign(second_projection_at(q, x))
+        s = second_projection_at(q, x).sign()
         sweep.append((k, s))
         if s != 0 and s == run_sign:
             run_len += 1
@@ -350,5 +316,4 @@ def limit_projection_check(q: PartitionVector) -> bool:
     v2(4) the limit vector (3/2, 1, 1, -1)."""
     values = q.eval_fraction(Fraction(4))
     winv = tuple(1 / wi for wi in gluing_weight_values(Fraction(4)))
-    acc = sum(values[i] * winv[i] * V2_AT_FOUR[i] for i in range(4))
-    return acc == classifier_constant(q)
+    return _dot(values, winv, V2_AT_FOUR) == classifier_constant(q)

@@ -23,10 +23,10 @@ from typing import Sequence
 from .chromatic import PartitionVector, partitioned_chromatic
 from .exactnum import (FallingFactorialCombo, GOLDEN_RATIO, IntPolynomial,
                        QuadExt, falling_factorial, falling_factorial_at)
-from .graphs import FramedGraph
+from .graphs import ColouringType, FramedGraph
 
 #: Number of colours used on the frame by each colouring type.
-TYPE_COLOUR_COUNTS = (2, 3, 3, 4)
+TYPE_COLOUR_COUNTS = tuple(t.frame_colours for t in ColouringType)
 
 #: det(tI - MD(x)) = t (t - 2) (t^2 + CHAR_B1 t + CHAR_B2): the quadratic
 #: factor, whose roots are the eigenvalues lambda2 and lambda3 of MD(x).
@@ -112,15 +112,15 @@ def build_M() -> TransferMatrix:
     return TransferMatrix(rows, "M")
 
 
-def build_M_ff() -> tuple:
-    """M with entries as falling-factorial combinations."""
-    return tuple(tuple(FallingFactorialCombo(c) for c in row) for row in _M_FF)
-
-
 def gluing_weights() -> tuple:
     """The diagonal of D: (ff2, ff3, ff3, ff4) whose reciprocals weight the
     four colouring types when gluing."""
     return tuple(falling_factorial(s) for s in TYPE_COLOUR_COUNTS)
+
+
+def gluing_weight_values(x: Fraction) -> tuple:
+    """Diagonal of D at a rational x: the values of (ff2, ff3, ff3, ff4)."""
+    return tuple(falling_factorial_at(s, x) for s in TYPE_COLOUR_COUNTS)
 
 
 @lru_cache(maxsize=None)
@@ -259,8 +259,8 @@ def family_value_at(qa: PartitionVector, qb: PartitionVector, n: int,
     md = tuple(tuple(e.scaled_value(a, b, min_degree=4) for e in row)
                for row in build_MD().entries)
     # Q(A)^T D at x over a common denominator c; Q(B) scaled by b^degree.
-    weighted = [p.eval_fraction(x) / falling_factorial_at(s, x)
-                for p, s in zip(qa, TYPE_COLOUR_COUNTS)]
+    weighted = [p.eval_fraction(x) / w
+                for p, w in zip(qa, gluing_weight_values(x))]
     c = math.lcm(*(w.denominator for w in weighted))
     ua = [w.numerator * (c // w.denominator) for w in weighted]
     degree_b = max(0, *(p.degree for p in qb))

@@ -142,6 +142,16 @@ def test_partitioned_matches_typed_oracle(fixture, xs):
             assert q[t - 1](x) == counts[t], (fixture, x, t)
 
 
+@pytest.mark.parametrize("fixture", ["W4", "L", "neg10"])
+def test_typed_oracle_sums_to_oracle(fixture):
+    # The typed count walks the frame first, the plain count walks in
+    # most-constrained order; both must count the same colourings.
+    fg = load_fixture(fixture)
+    for x in range(0, 6):
+        counts = count_colourings_by_type(fg, x)
+        assert sum(counts.values()) == count_colourings_oracle(fg.graph, x)
+
+
 def test_partition_vector_json_roundtrip(q_w4):
     assert PartitionVector.from_json(q_w4.to_json()) == q_w4
 

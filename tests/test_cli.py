@@ -3,10 +3,12 @@ codes."""
 
 import json
 
+import pytest
+
+from chromroots import cli
 from chromroots.cli import MAX_BITS, MAX_DIGITS, MAX_POINTWISE_N, main
 from chromroots.roots import MAX_DEGREE
 from chromroots.tables import DOUBLING_ROWS
-from chromroots.transfer import StripFamily
 
 
 def run_cli(capsys, *argv):
@@ -79,8 +81,8 @@ def test_pointwise_caps(capsys):
 
 def test_croots_degree_cap_before_building_the_strip(capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(StripFamily, "from_framed",
-                        lambda *ends: built.append(ends))
+    monkeypatch.setattr(cli, "partitioned_chromatic",
+                        lambda *end, **kw: built.append(end))
     # W4,W4 strip 1000 has 4000 vertices; H,W4 strip 147 has 16+5+588-8.
     _assert_one_line_error(capsys, "croots", "--endA", "W4", "--endB", "W4",
                            "--n", "1000", "--bits", "64")
@@ -88,6 +90,34 @@ def test_croots_degree_cap_before_building_the_strip(capsys, monkeypatch):
                            "--n", "147")
     assert 16 + 5 + 4 * 146 - 8 <= MAX_DEGREE < 16 + 5 + 4 * 147 - 8
     assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("poly", "H"),
+    ("qvec", "H"),
+    ("family", "--endA", "H", "--endB", "W4", "--n", "1"),
+    ("root4", "--endA", "H", "--endB", "W4", "--n", "1"),
+    ("classify", "H"),
+    ("predict", "--endA", "H", "--endB", "W4"),
+    ("verify-golden", "--endA", "H", "--endB", "W4", "--n", "1"),
+    ("croots", "--endA", "H", "--endB", "W4", "--n", "1"),
+    ("reproduce-tables", "--only", "table1"),
+], ids=lambda argv: argv[0])
+def test_node_budget_applies_wherever_the_engine_runs(capsys, argv):
+    assert main([*argv, "--node-budget", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-M", "--node-budget", "10"),
+    ("croots", "--format", "json"),
+    ("reproduce-tables", "--format", "json"),
+], ids=lambda argv: argv[0])
+def test_options_no_handler_reads_are_not_offered(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 def test_family_json(capsys):

@@ -11,14 +11,14 @@ import pytest
 from chromroots.exactnum import (FallingFactorialCombo, GOLDEN_RATIO,
                                  InexactDivisionError, IntPolynomial,
                                  MixedRadicandError, QuadExt, falling_factorial,
-                                 falling_factorial_at, ff_to_power, power_to_ff,
-                                 quad_sign, sqrt_rational, stirling_first_signed,
+                                 falling_factorial_at, power_to_ff,
+                                 sqrt_rational, stirling_first_signed,
                                  stirling_second)
 
 
 def test_ff_small_cases():
-    assert ff_to_power(FallingFactorialCombo({2: 1})) == IntPolynomial([0, -1, 1])
-    assert ff_to_power(FallingFactorialCombo({0: 1})) == IntPolynomial([1])
+    assert FallingFactorialCombo({2: 1}).to_power() == IntPolynomial([0, -1, 1])
+    assert FallingFactorialCombo({0: 1}).to_power() == IntPolynomial([1])
     assert power_to_ff(IntPolynomial([0, 0, 0, 1])).terms == {1: 1, 2: 3, 3: 1}
     assert power_to_ff(IntPolynomial([0, -1, 1])).terms == {2: 1}
 
@@ -39,7 +39,7 @@ def test_ff_corner_entry_expansion():
 
 def test_wheel_partition_sum_in_ff_basis():
     # ff3 + 2 ff4 + ff5 is the chromatic polynomial of the 4-wheel.
-    total = ff_to_power(FallingFactorialCombo({3: 1, 4: 2, 5: 1}))
+    total = FallingFactorialCombo({3: 1, 4: 2, 5: 1}).to_power()
     assert total == IntPolynomial([0, 14, -31, 24, -8, 1])
     assert power_to_ff(total).terms == {3: 1, 4: 2, 5: 1}
 
@@ -50,7 +50,7 @@ def test_ff_roundtrip_randomised():
         degree = rng.randint(0, 12)
         p = IntPolynomial([rng.randint(-10 ** 6, 10 ** 6)
                            for _ in range(degree + 1)])
-        assert ff_to_power(power_to_ff(p)) == p
+        assert power_to_ff(p).to_power() == p
 
 
 def test_ff_vanishes_below_index():
@@ -98,13 +98,13 @@ def test_polynomial_serialization_roundtrip():
 
 
 def test_quad_sign_cases():
-    assert quad_sign(QuadExt(1, 1, 5)) == 1
-    assert quad_sign(QuadExt(-2, 1, 5)) == 1          # sqrt 5 > 2
-    assert quad_sign(QuadExt(Fraction(-9, 4), 1, 5)) == -1
-    assert quad_sign(QuadExt(0, 0, 5)) == 0
-    assert quad_sign(QuadExt(2, -1, 5)) == -1
-    assert quad_sign(QuadExt(3, -1, 5)) == 1
-    assert quad_sign(QuadExt(Fraction(5), Fraction(-1), 25)) == 0  # 5 - sqrt(25)
+    assert QuadExt(1, 1, 5).sign() == 1
+    assert QuadExt(-2, 1, 5).sign() == 1          # sqrt 5 > 2
+    assert QuadExt(Fraction(-9, 4), 1, 5).sign() == -1
+    assert QuadExt(0, 0, 5).sign() == 0
+    assert QuadExt(2, -1, 5).sign() == -1
+    assert QuadExt(3, -1, 5).sign() == 1
+    assert QuadExt(Fraction(5), Fraction(-1), 25).sign() == 0  # 5 - sqrt(25)
 
 
 def test_quad_field_axioms_randomised():
@@ -133,7 +133,7 @@ def test_quad_sign_matches_high_precision_float():
             approx = (mp.mpf(s.a.numerator) / s.a.denominator
                       + mp.mpf(s.b.numerator) / s.b.denominator * mp.sqrt(s.d))
             if abs(approx) > mp.mpf(2) ** -120:
-                assert quad_sign(s) == (1 if approx > 0 else -1)
+                assert s.sign() == (1 if approx > 0 else -1)
 
 
 def test_quad_radicand_mixing_rules():

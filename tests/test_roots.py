@@ -210,6 +210,9 @@ def test_complex_roots_scaling_prevents_float_overflow():
     with mp.workprec(400):
         for (re, _), r in zip(rs.roots, exact):
             assert abs(re - r) <= mp.mpf(2) ** -200 * r
+    # Residuals are relative to sum |c_i| |z|^i, so the root 2^500 is not
+    # penalised for the size of p's coefficients.
+    assert all(res < mp.mpf(2) ** -200 for res in rs.residuals)
 
 
 def test_complex_roots_rejects_bad_degrees():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chromroots.chromatic import partitioned_chromatic
-from chromroots.exactnum import QuadExt, quad_sign
+from chromroots.exactnum import QuadExt
 from chromroots.graphs import FramedGraph, Graph
 from chromroots.spectral import (GUARD_LO, GuardError, classifier_constant,
                                  classify_end_graph, decompose, eigen_residual,
@@ -173,4 +173,4 @@ def test_wheel_sweep_sign_is_positive(q_w4):
     # Even though the wheel takes the fast path, its sweep signs agree.
     for k in (4, 6, 8):
         x = Fraction(4) - Fraction(1, 2 ** k)
-        assert quad_sign(second_projection_at(q_w4, x)) == 1
+        assert second_projection_at(q_w4, x).sign() == 1
