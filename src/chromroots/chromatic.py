@@ -281,11 +281,11 @@ def _oracle_order(g: Graph) -> list:
 
 
 def _walk_colourings(g: Graph, order: list, x: int, step_budget: int,
-                     typed: bool) -> dict:
+                     typed: bool) -> int | Dict[ColouringType, int]:
     """Proper x-colourings of g by exhaustive backtracking along `order`.
 
     Independent of the polynomial engine.  Enforces the documented bounds
-    (x <= 12, vertex_count <= 12) and a step budget.  Returns {None: count},
+    (x <= 12, vertex_count <= 12) and a step budget.  Returns the count,
     or with `typed` the counts keyed by the ColouringType of the colours on
     the first four vertices of `order`.
     """
@@ -329,14 +329,14 @@ def _walk_colourings(g: Graph, order: list, x: int, step_budget: int,
         return total_here
 
     total = walk(0)
-    return counts if typed else {None: total}
+    return counts if typed else total
 
 
 def count_colourings_oracle(g: Graph, x: int, *,
                             step_budget: int = DEFAULT_ORACLE_BUDGET) -> int:
     """Number of proper x-colourings by exhaustive backtracking (see
     _walk_colourings for the bounds)."""
-    return _walk_colourings(g, _oracle_order(g), x, step_budget, False)[None]
+    return _walk_colourings(g, _oracle_order(g), x, step_budget, False)
 
 
 def count_colourings_by_type(fg: FramedGraph, x: int, *,

@@ -82,14 +82,6 @@ def _load_ends(args) -> tuple:
     return _load_framed(args.endA), _load_framed(args.endB)
 
 
-def _strip_family(args, ends: tuple) -> StripFamily:
-    """The strip family of two loaded end-graphs, each partitioned under
-    the --node-budget cap."""
-    qa, qb = (partitioned_chromatic(end, node_budget=args.node_budget)
-              for end in ends)
-    return StripFamily(qa, qb, f"{args.endA},{args.endB}")
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
         out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -130,7 +122,8 @@ def cmd_qvec(args) -> int:
 
 
 def cmd_family(args) -> int:
-    fam = _strip_family(args, _load_ends(args))
+    fam = StripFamily.from_framed(*_load_ends(args), f"{args.endA},{args.endB}",
+                                  node_budget=args.node_budget)
     p = fam.polynomial(args.n, symbolic_limit=args.symbolic_limit)
     payload = {"endA": args.endA, "endB": args.endB, "n": args.n,
                "degree": p.degree, "coefficients": p.to_decimal_strings()}
@@ -141,7 +134,8 @@ def cmd_family(args) -> int:
 def cmd_root4(args) -> int:
     _check_range("--n", args.n, 1, MAX_POINTWISE_N)
     _check_range("--digits", args.digits, 0, MAX_DIGITS)
-    fam = _strip_family(args, _load_ends(args))
+    fam = StripFamily.from_framed(*_load_ends(args), f"{args.endA},{args.endB}",
+                                  node_budget=args.node_budget)
     width = Fraction(1, 10 ** (args.digits + 1))
     try:
         res = largest_root_near_four(fam, args.n, width=width,
@@ -191,7 +185,8 @@ def cmd_predict(args) -> int:
 
 def cmd_verify_golden(args) -> int:
     ends = _load_ends(args)
-    fam = _strip_family(args, ends)
+    fam = StripFamily.from_framed(*ends, f"{args.endA},{args.endB}",
+                                  node_budget=args.node_budget)
     sizes = [end.graph.vertex_count for end in ends]
     ns = range(1, args.max_n + 1) if args.max_n else [args.n]
     results = []
@@ -228,7 +223,8 @@ def cmd_croots(args) -> int:
     # The strip polynomial's degree is its vertex count |A| + |B| + 4n - 8.
     size = sum(end.graph.vertex_count for end in ends)
     _check_range("--n", args.n, 1, (MAX_DEGREE + 8 - size) // 4)
-    fam = _strip_family(args, ends)
+    fam = StripFamily.from_framed(*ends, f"{args.endA},{args.endB}",
+                                  node_budget=args.node_budget)
     p = fam.polynomial(args.n, symbolic_limit=max(args.n, 128))
     rs = complex_roots(p, args.bits, max_iter=args.max_iter)
     lines = ["re,im"]

@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .chromatic import PartitionVector, partitioned_chromatic
+from .chromatic import (DEFAULT_NODE_BUDGET, PartitionVector,
+                        partitioned_chromatic)
 from .exactnum import (FallingFactorialCombo, GOLDEN_RATIO, IntPolynomial,
                        QuadExt, falling_factorial, falling_factorial_at)
 from .graphs import ColouringType, FramedGraph
@@ -298,8 +299,10 @@ class StripFamily:
     label: str = ""
 
     @classmethod
-    def from_framed(cls, a: FramedGraph, b: FramedGraph, label: str = "") -> "StripFamily":
-        return cls(partitioned_chromatic(a), partitioned_chromatic(b), label)
+    def from_framed(cls, a: FramedGraph, b: FramedGraph, label: str = "", *,
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> "StripFamily":
+        return cls(partitioned_chromatic(a, node_budget=node_budget),
+                   partitioned_chromatic(b, node_budget=node_budget), label)
 
     def polynomial(self, n: int, **kw) -> IntPolynomial:
         return family_polynomial(self.qa, self.qb, n, **kw)

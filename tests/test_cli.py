@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from chromroots import cli
 from chromroots.cli import MAX_BITS, MAX_DIGITS, MAX_POINTWISE_N, main
 from chromroots.roots import MAX_DEGREE
 from chromroots.tables import DOUBLING_ROWS
+from chromroots.transfer import StripFamily
 
 
 def run_cli(capsys, *argv):
@@ -81,8 +81,8 @@ def test_pointwise_caps(capsys):
 
 def test_croots_degree_cap_before_building_the_strip(capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(cli, "partitioned_chromatic",
-                        lambda *end, **kw: built.append(end))
+    monkeypatch.setattr(StripFamily, "from_framed",
+                        lambda *ends, **kw: built.append(ends))
     # W4,W4 strip 1000 has 4000 vertices; H,W4 strip 147 has 16+5+588-8.
     _assert_one_line_error(capsys, "croots", "--endA", "W4", "--endB", "W4",
                            "--n", "1000", "--bits", "64")
