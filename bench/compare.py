@@ -30,7 +30,8 @@ from baseline import summary  # noqa: E402
 PAIRS = 10
 TRACED_PAIRS = 1
 #: Traced layer metrics recorded beside the end-to-end ones.
-LAYER_METRICS = ("transfer.value_at_ms", "transfer.layers_extended",
+LAYER_METRICS = ("chromatic.self_s", "chromatic.cache_entries",
+                 "transfer.value_at_ms", "transfer.layers_extended",
                  "exactnum.poly_mul_calls", "roots.croots_s")
 
 

@@ -6,12 +6,20 @@ component factoring, simplicial-vertex peeling (which subsumes trees and
 cliques), a degree-2 series reduction, and memoised deletion-contraction
 that branches on the edge with the most common neighbours.  All arithmetic
 is exact integer polynomial arithmetic.
+
+The memo key of a graph comes from colour refinement (McKay, "Practical
+graph isomorphism", 1981): starting from the degrees, each vertex's colour
+is refined by the multiset of its neighbours' colours, encoded exactly as
+one integer, until the number of classes stops growing.  The key is the
+tuple of adjacency masks relabelled in (class, label) order.  Equal keys
+always mean isomorphic graphs, so the cache is sound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable
 
 from .exactnum import IntPolynomial
@@ -28,11 +36,15 @@ class ResourceLimitError(RuntimeError):
     """A computation exceeded its configured node budget."""
 
 
-def _iter_bits(m: int):
+@lru_cache(maxsize=1 << 14)
+def _bits(m: int) -> tuple:
+    """Indices of the set bits of `m`, lowest first (memoised, bounded)."""
+    out = []
     while m:
         low = m & -m
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         m ^= low
+    return tuple(out)
 
 
 def _remove_vertex(masks: tuple, v: int) -> tuple:
@@ -57,7 +69,7 @@ def _contract_edge(masks: tuple, u: int, v: int) -> tuple:
     bu, bv = 1 << u, 1 << v
     out = list(masks)
     out[u] = (out[u] | out[v]) & ~bu & ~bv
-    for w in _iter_bits(out[v]):
+    for w in _bits(out[v]):
         if w != u:
             out[w] |= bu
     for w in range(len(out)):
@@ -66,7 +78,7 @@ def _contract_edge(masks: tuple, u: int, v: int) -> tuple:
 
 
 def _components(masks: tuple) -> list:
-    """Vertex sets (as sorted lists) of the connected components."""
+    """Vertex sets (as sorted tuples) of the connected components."""
     n = len(masks)
     seen = 0
     comps = []
@@ -77,21 +89,21 @@ def _components(masks: tuple) -> list:
         frontier = comp
         while frontier:
             nxt = 0
-            for v in _iter_bits(frontier):
+            for v in _bits(frontier):
                 nxt |= masks[v]
             frontier = nxt & ~comp
             comp |= nxt
         seen |= comp
-        comps.append(list(_iter_bits(comp)))
+        comps.append(_bits(comp))
     return comps
 
 
-def _induced(masks: tuple, verts: list) -> tuple:
+def _induced(masks: tuple, verts: tuple) -> tuple:
     index = {v: i for i, v in enumerate(verts)}
     out = []
     for v in verts:
         m = 0
-        for u in _iter_bits(masks[v]):
+        for u in _bits(masks[v]):
             i = index.get(u)
             if i is not None:
                 m |= 1 << i
@@ -99,35 +111,38 @@ def _induced(masks: tuple, verts: list) -> tuple:
     return tuple(out)
 
 
-def _canonical_key(masks: tuple):
-    """Cheap isomorphism-aware cache key: relabel by degree-refined colour
-    classes (ties broken by incoming label) and emit the edge list.  Equal
-    keys always mean isomorphic graphs, so the cache is sound; distinct keys
-    for isomorphic graphs merely cost a cache miss."""
+def _canonical_key(masks: tuple) -> tuple:
+    """Isomorphism-aware cache key: the adjacency masks relabelled by
+    colour-refined classes, ties broken by incoming label.
+
+    Colours start as degrees.  Each round encodes a vertex's own colour and
+    the multiset of its neighbours' colours as one integer (colour c weighs
+    2^(c * n.bit_length()), wide enough that no count carries) and ranks
+    the codes; refinement stops when the class count stops growing or
+    reaches n.  Equal keys always mean isomorphic graphs, so the cache is
+    sound; distinct keys for isomorphic graphs merely cost a cache miss."""
     n = len(masks)
+    nbrs = list(map(_bits, masks))
     colours = [m.bit_count() for m in masks]
-    for _ in range(n):
-        sigs = []
-        for v in range(n):
-            sigs.append((colours[v], tuple(sorted(colours[u] for u in _iter_bits(masks[v])))))
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colours:
+    classes = len(set(colours))
+    shift = n.bit_length()
+    top = n * shift
+    weights = [1 << (c * shift) for c in range(n)]
+    while classes < n:
+        weight_of = list(map(weights.__getitem__, colours)).__getitem__
+        codes = [(c << top) + sum(map(weight_of, nb))
+                 for c, nb in zip(colours, nbrs)]
+        ranked = sorted(set(codes))
+        if len(ranked) == classes:
             break
-        colours = new
-    order = sorted(range(n), key=lambda v: (colours[v], v))
-    pos = [0] * n
+        classes = len(ranked)
+        colours = list(map(dict(zip(ranked, range(classes))).__getitem__, codes))
+    order = sorted(range(n), key=colours.__getitem__)
+    place = [0] * n
     for i, v in enumerate(order):
-        pos[v] = i
-    edges = []
-    for v in range(n):
-        pv = pos[v]
-        for u in _iter_bits(masks[v]):
-            if u > v:
-                pu = pos[u]
-                edges.append((pv, pu) if pv < pu else (pu, pv))
-    edges.sort()
-    return (n, tuple(edges))
+        place[v] = 1 << i
+    bit = place.__getitem__
+    return tuple([sum(map(bit, nbrs[v])) for v in order])
 
 
 class _Engine:
@@ -173,7 +188,7 @@ class _Engine:
             for v in range(n):
                 mv = masks[v]
                 clique = True
-                for u in _iter_bits(mv):
+                for u in _bits(mv):
                     if (mv & ~(1 << u)) & ~masks[u]:
                         clique = False
                         break
@@ -209,7 +224,7 @@ class _Engine:
         reduced = None
         for v in range(n):
             if masks[v].bit_count() == 2:
-                u, w = _iter_bits(masks[v])
+                u, w = _bits(masks[v])
                 rest = _remove_vertex(masks, v)
                 u -= u > v
                 w -= w > v
@@ -227,7 +242,7 @@ class _Engine:
             best = (-1, -1, 0, 0)
             for v in range(n):
                 mv = masks[v]
-                for u in _iter_bits(mv):
+                for u in _bits(mv):
                     if u <= v:
                         continue
                     cn = (mv & masks[u]).bit_count()
@@ -299,7 +314,7 @@ def _walk_colourings(g: Graph, order: list, x: int, step_budget: int,
     masks = g.adjacency_masks()
     # pred[i]: positions (in colouring order) of earlier neighbours of order[i]
     pos = {v: i for i, v in enumerate(order)}
-    pred = [[pos[u] for u in _iter_bits(masks[v]) if pos[u] < i]
+    pred = [[pos[u] for u in _bits(masks[v]) if pos[u] < i]
             for i, v in enumerate(order)]
     palette = (1 << x) - 1
     assigned = [0] * n

@@ -17,8 +17,9 @@ All outputs are deterministic for a fixed configuration.  Bad input (a
 malformed graph file, an option out of range) gives a one-line error on
 stderr and exit code 2.  The pointwise options are capped before any work
 starts: root4 --n <= MAX_POINTWISE_N, root4 --digits <= MAX_DIGITS,
-croots --bits <= MAX_BITS, and the croots strip's vertex count (its
-degree) <= roots.MAX_DEGREE.  Every subcommand that runs the
+family --n <= --symbolic-limit <= MAX_SYMBOLIC_N, croots --bits <=
+MAX_BITS, croots --max-iter <= MAX_ITER, and the croots strip's vertex
+count (its degree) <= roots.MAX_DEGREE.  Every subcommand that runs the
 deletion-contraction engine (all but verify-M) takes --node-budget.
 """
 
@@ -38,8 +39,9 @@ from .chromatic import (DEFAULT_NODE_BUDGET, PartitionVector,
                         ResourceLimitError, chromatic_polynomial,
                         partitioned_chromatic)
 from .graphs import FIXTURE_NAMES, FramedGraph, load_fixture, parse_graph_text
-from .roots import (MAX_DEGREE, NoSignChangeError, complex_roots,
-                    fraction_to_decimal, largest_root_near_four)
+from .roots import (MAX_DEGREE, NoSignChangeError, RootConvergenceError,
+                    complex_roots, fraction_to_decimal,
+                    largest_root_near_four)
 from .spectral import classify_end_graph
 from .tables import (BY_N_ROWS, DOUBLING_ROWS, ROOT_TOLERANCE,
                      reference_partition_components, reference_roots_by_n,
@@ -52,6 +54,13 @@ from .transfer import (StripFamily, golden_identity_check,
 MAX_POINTWISE_N = 2049
 MAX_DIGITS = 30
 MAX_BITS = 1024
+#: Cap on croots --max-iter: ten times the default of 400 sweeps.
+MAX_ITER = 4000
+#: Cap on family --n and --symbolic-limit.  The W4,W4 strip at n = 512
+#: (degree 2050) takes 2.4 s, 37 MB and 2 MB of JSON on a 2-core x86-64
+#: machine; n = 1024 takes 18.6 s and 69 MB (each doubling of n costs 4
+#: to 8 times the time).
+MAX_SYMBOLIC_N = 512
 
 
 def _check_range(option: str, value: int, lo: int, hi: int) -> None:
@@ -122,6 +131,8 @@ def cmd_qvec(args) -> int:
 
 
 def cmd_family(args) -> int:
+    _check_range("--symbolic-limit", args.symbolic_limit, 1, MAX_SYMBOLIC_N)
+    _check_range("--n", args.n, 1, args.symbolic_limit)
     fam = StripFamily.from_framed(*_load_ends(args), f"{args.endA},{args.endB}",
                                   node_budget=args.node_budget)
     p = fam.polynomial(args.n, symbolic_limit=args.symbolic_limit)
@@ -219,6 +230,7 @@ def cmd_verify_m(args) -> int:
 
 def cmd_croots(args) -> int:
     _check_range("--bits", args.bits, 1, MAX_BITS)
+    _check_range("--max-iter", args.max_iter, 1, MAX_ITER)
     ends = _load_ends(args)
     # The strip polynomial's degree is its vertex count |A| + |B| + 4n - 8.
     size = sum(end.graph.vertex_count for end in ends)
@@ -360,8 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="strip-family chromatic polynomial")
     p.add_argument("--endA", required=True)
     p.add_argument("--endB", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--symbolic-limit", type=int, default=128)
+    p.add_argument("--n", type=int, required=True,
+                   help="strip length, at most --symbolic-limit")
+    p.add_argument("--symbolic-limit", type=int, default=128,
+                   help=f"largest symbolic strip, at most {MAX_SYMBOLIC_N}")
     common(p)
     p.set_defaults(func=cmd_family)
 
@@ -405,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=256,
                    help=f"working precision, at most {MAX_BITS}")
     p.add_argument("--max-iter", type=int, default=400,
-                   help="iteration cap for the simultaneous root iteration")
+                   help="iteration cap for the simultaneous root iteration, "
+                        f"at most {MAX_ITER}")
     p.add_argument("-o", "--output", "--out", help="write the CSV to a file")
     node_budget(p)
     p.set_defaults(func=cmd_croots)
@@ -429,6 +444,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return 2
+    except RootConvergenceError as exc:
+        sys.stderr.write(f"no convergence: {exc}\n")
+        return 1
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

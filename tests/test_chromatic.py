@@ -4,13 +4,19 @@ polynomials."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chromroots.chromatic import (PartitionVector, ResourceLimitError,
-                                  chromatic_polynomial, count_colourings_by_type,
+from chromroots.chromatic import (DEFAULT_CACHE_LIMIT, DEFAULT_NODE_BUDGET,
+                                  PartitionVector, ResourceLimitError, _Engine,
+                                  _canonical_key, chromatic_polynomial,
+                                  count_colourings_by_type,
                                   count_colourings_oracle, partitioned_chromatic)
 from chromroots.exactnum import IntPolynomial, falling_factorial
 from chromroots.graphs import (ColouringType, FramedGraph, Graph, cycle_graph,
-                               double_ended_strip, load_fixture, wheel4)
+                               double_ended_strip, load_fixture,
+                               type_auxiliary_graph, wheel4)
+from chromroots.tables import reference_partition_components
 
 
 def complete_graph(n):
@@ -70,6 +76,69 @@ def test_engine_budget():
     g = double_ended_strip(wheel4(), load_fixture("neg10"), 2)
     with pytest.raises(ResourceLimitError):
         chromatic_polynomial(g, node_budget=10)
+
+
+@pytest.mark.parametrize("fixture,entries,nodes", [
+    ("W4", 0, 4), ("L", 54, 112), ("neg10", 154, 312), ("H", 15_276, 30_556)])
+def test_engine_counters(fixture, entries, nodes):
+    # partitioned_chromatic's four engine runs, one shared cache.  A weaker
+    # cache key stores more entries; a changed branch order visits other
+    # nodes.
+    fg = load_fixture(fixture)
+    cache, visited, parts = {}, 0, []
+    for t in ColouringType:
+        aux = type_auxiliary_graph(fg, t)
+        if aux is None:
+            parts.append(IntPolynomial.zero())
+            continue
+        engine = _Engine(DEFAULT_NODE_BUDGET, cache, DEFAULT_CACHE_LIMIT)
+        parts.append(engine.poly(aux.adjacency_masks()))
+        visited += engine.nodes
+    assert (len(cache), visited) == (entries, nodes)
+    expected = (reference_partition_components() if fixture == "H"
+                else partitioned_chromatic(fg))
+    assert tuple(parts) == tuple(expected)
+
+
+def _stable_class_count(g: Graph) -> int:
+    """Classes of colour refinement from the degrees (reference version:
+    signatures are sorted tuples of neighbour colours)."""
+    masks = g.adjacency_masks()
+    nbrs = [[u for u in range(g.vertex_count) if m >> u & 1] for m in masks]
+    colours = [len(nb) for nb in nbrs]
+    while True:
+        sigs = [(colours[v], tuple(sorted(colours[u] for u in nb)))
+                for v, nb in enumerate(nbrs)]
+        ranks = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        refined = [ranks[sig] for sig in sigs]
+        if len(ranks) == len(set(colours)):
+            return len(ranks)
+        colours = refined
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=small_graphs(), data=st.data())
+def test_canonical_key_sound_and_canonical(g, data):
+    key = _canonical_key(g.adjacency_masks())
+    decoded = Graph(len(key), [(v, u) for v, m in enumerate(key)
+                               for u in range(len(key)) if m >> u & 1])
+    # Soundness: the key is the graph itself, relabelled.
+    assert decoded.edge_count == g.edge_count
+    assert chromatic_polynomial(decoded) == chromatic_polynomial(g)
+    # Canonicity: with one vertex per refined class, no label breaks a tie.
+    perm = data.draw(st.permutations(range(g.vertex_count)))
+    relabelled_key = _canonical_key(g.relabelled(perm).adjacency_masks())
+    if _stable_class_count(g) == g.vertex_count:
+        assert relabelled_key == key
 
 
 def test_oracle_agreement():

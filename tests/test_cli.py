@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from chromroots.cli import MAX_BITS, MAX_DIGITS, MAX_POINTWISE_N, main
+from chromroots.cli import (MAX_BITS, MAX_DIGITS, MAX_ITER, MAX_POINTWISE_N,
+                            MAX_SYMBOLIC_N, main)
 from chromroots.roots import MAX_DEGREE
 from chromroots.tables import DOUBLING_ROWS
 from chromroots.transfer import StripFamily
@@ -74,6 +75,9 @@ def test_pointwise_caps(capsys):
     _assert_one_line_error(capsys, "croots", "--n", "10",
                            "--bits", str(MAX_BITS + 1))
     _assert_one_line_error(capsys, "croots", "--n", "0")
+    _assert_one_line_error(capsys, "croots", "--n", "1", "--max-iter", "0")
+    _assert_one_line_error(capsys, "croots", "--n", "1",
+                           "--max-iter", str(MAX_ITER + 1))
     # Every bundled table row fits under the caps.
     assert max(DOUBLING_ROWS) + 1 <= MAX_POINTWISE_N
     assert 10 <= MAX_DIGITS and 256 <= MAX_BITS
@@ -90,6 +94,28 @@ def test_croots_degree_cap_before_building_the_strip(capsys, monkeypatch):
                            "--n", "147")
     assert 16 + 5 + 4 * 146 - 8 <= MAX_DEGREE < 16 + 5 + 4 * 147 - 8
     assert built == []
+
+
+def test_family_caps_before_building_the_strip(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(StripFamily, "from_framed",
+                        lambda *ends, **kw: built.append(ends))
+    too_big = str(MAX_SYMBOLIC_N + 1)
+    for argv in (("--n", too_big, "--symbolic-limit", too_big),
+                 ("--n", "5", "--symbolic-limit", too_big),
+                 ("--n", "5", "--symbolic-limit", "0"),
+                 ("--n", too_big),
+                 ("--n", "200")):
+        _assert_one_line_error(capsys, "family", "--endA", "W4",
+                               "--endB", "W4", *argv)
+    assert built == []
+
+
+def test_croots_that_does_not_converge_gives_one_line(capsys):
+    assert main(["croots", "--endA", "W4", "--endB", "W4", "--n", "1",
+                 "--max-iter", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("no convergence: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
