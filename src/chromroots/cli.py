@@ -18,9 +18,11 @@ malformed graph file, an option out of range) gives a one-line error on
 stderr and exit code 2.  The pointwise options are capped before any work
 starts: root4 --n <= MAX_POINTWISE_N, root4 --digits <= MAX_DIGITS,
 family --n <= --symbolic-limit <= MAX_SYMBOLIC_N, croots --bits <=
-MAX_BITS, croots --max-iter <= MAX_ITER, and the croots strip's vertex
-count (its degree) <= roots.MAX_DEGREE.  Every subcommand that runs the
-deletion-contraction engine (all but verify-M) takes --node-budget.
+MAX_BITS, croots --max-iter <= MAX_ITER, the croots strip's vertex
+count (its degree) <= roots.MAX_DEGREE, verify-golden --n and --max-n <=
+transfer.SYMBOLIC_LIMIT and reproduce-tables --jobs <= MAX_JOBS.  Every
+subcommand that runs the deletion-contraction engine (all but verify-M)
+takes --node-budget, at most MAX_NODE_BUDGET.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .spectral import classify_end_graph
 from .tables import (BY_N_ROWS, DOUBLING_ROWS, ROOT_TOLERANCE,
                      reference_partition_components, reference_roots_by_n,
                      reference_roots_doubling)
-from .transfer import (StripFamily, golden_identity_check,
+from .transfer import (SYMBOLIC_LIMIT, StripFamily, golden_identity_check,
                        verify_M_against_oracle)
 
 #: Caps on the pointwise options.  Every bundled table row fits: strip 513
@@ -61,6 +63,16 @@ MAX_ITER = 4000
 #: machine; n = 1024 takes 18.6 s and 69 MB (each doubling of n costs 4
 #: to 8 times the time).
 MAX_SYMBOLIC_N = 512
+#: Cap on --node-budget: ten times the default.  H needs 30,556 engine
+#: nodes and 2.3 s on a 2-core x86-64 machine (about 13,000 nodes/s), so
+#: the default budget stands for about 5 minutes of engine work and the cap
+#: for about 50.  Memory does not grow with the budget: the memo holds at
+#: most chromatic.DEFAULT_CACHE_LIMIT entries.
+MAX_NODE_BUDGET = 10 * DEFAULT_NODE_BUDGET
+#: Cap on reproduce-tables --jobs.  Each table gets its own pool and the
+#: larger one has 15 root rows, so a further worker would never get a row;
+#: the pool forks all its workers at once.
+MAX_JOBS = max(len(BY_N_ROWS), len(DOUBLING_ROWS))
 
 
 def _check_range(option: str, value: int, lo: int, hi: int) -> None:
@@ -169,10 +181,12 @@ def cmd_classify(args) -> int:
     fg = _load_framed(args.graph)
     q = partitioned_chromatic(fg, node_budget=args.node_budget)
     c = classify_end_graph(q)
+    series = [_fraction_str(s) for s in c.series]
     payload = {"verdict": c.verdict, "constant": _fraction_str(c.constant),
-               "sweep": [{"k": k, "sign": s} for k, s in c.sweep]}
-    lines = [f"{c.verdict}", f"constant {_fraction_str(c.constant)}", "k,sign"]
-    lines += [f"{k},{s}" for k, s in c.sweep]
+               "series": series}
+    lines = [f"{c.verdict}", f"constant {_fraction_str(c.constant)}",
+             "order,coefficient"]
+    lines += [f"{k},{s}" for k, s in enumerate(series)]
     _emit(args, payload, "\n".join(lines) + "\n")
     return 0
 
@@ -184,17 +198,19 @@ def cmd_predict(args) -> int:
                                node_budget=args.node_budget)
     verdict_a = classify_end_graph(qa).verdict
     verdict_b = classify_end_graph(qb).verdict
-    approaching = (verdict_a != "inconclusive" and verdict_b != "inconclusive"
-                   and verdict_a != verdict_b)
+    approaching = verdict_a != verdict_b
     payload = {"endA": verdict_a, "endB": verdict_b,
                "roots_approach_four": approaching}
     text = (f"{args.endA}: {verdict_a}\n{args.endB}: {verdict_b}\n"
             f"roots approach 4: {'yes' if approaching else 'no'}\n")
     _emit(args, payload, text)
-    return 0 if verdict_a != "inconclusive" and verdict_b != "inconclusive" else 1
+    return 0
 
 
 def cmd_verify_golden(args) -> int:
+    _check_range("--n", args.n, 1, SYMBOLIC_LIMIT)
+    if args.max_n is not None:
+        _check_range("--max-n", args.max_n, 1, SYMBOLIC_LIMIT)
     ends = _load_ends(args)
     fam = StripFamily.from_framed(*ends, f"{args.endA},{args.endB}",
                                   node_budget=args.node_budget)
@@ -290,6 +306,8 @@ def _reproduce_roots(fam: StripFamily, rows, reference, digits, offset, jobs):
 
 
 def cmd_reproduce_tables(args) -> int:
+    if args.jobs is not None:
+        _check_range("--jobs", args.jobs, 1, MAX_JOBS)
     which = args.only or "all"
     jobs = args.jobs or min(4, os.cpu_count() or 1)
     report = {}
@@ -351,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def node_budget(p):
         p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                       help="deletion-contraction node cap")
+                       help="deletion-contraction node cap, at most "
+                            f"{MAX_NODE_BUDGET}")
 
     def common(p, engine=True):
         p.add_argument("--format", choices=("json", "text"), default="text")
@@ -403,8 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-golden", help="golden-ratio identity check")
     p.add_argument("--endA", default="H")
     p.add_argument("--endB", default="W4")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--max-n", type=int, help="check all n up to this bound")
+    p.add_argument("--n", type=int, default=2,
+                   help=f"strip length, at most {SYMBOLIC_LIMIT}")
+    p.add_argument("--max-n", type=int,
+                   help="check all n up to this bound, at most "
+                        f"{SYMBOLIC_LIMIT}")
     common(p)
     p.set_defaults(func=cmd_verify_golden)
 
@@ -429,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="regenerate the bundled reference tables")
     p.add_argument("--only", choices=("table1", "table2", "table3"))
     p.add_argument("--max-n", type=int, default=512)
-    p.add_argument("--jobs", type=int, help="worker processes (default <= 4)")
+    p.add_argument("--jobs", type=int,
+                   help=f"worker processes (default <= 4, at most {MAX_JOBS})")
     p.add_argument("--report", help="write a JSON report to this path")
     node_budget(p)
     p.set_defaults(func=cmd_reproduce_tables)
@@ -440,6 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "node_budget" in vars(args):
+            _check_range("--node-budget", args.node_budget, 1, MAX_NODE_BUDGET)
         return args.func(args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")

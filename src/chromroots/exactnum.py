@@ -189,6 +189,16 @@ class IntPolynomial:
             acc *= b ** (min_degree - d)
         return acc
 
+    def taylor_shift(self, c: int) -> "IntPolynomial":
+        """p(x + c) for an integer c: d(d+1)/2 integer multiply-adds
+        (synthetic division by x - c, repeated)."""
+        cs = list(self._c)
+        d = len(cs) - 1
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                cs[j] += c * cs[j + 1]
+        return IntPolynomial(cs)
+
     # -- calculus / structure
 
     def derivative(self) -> "IntPolynomial":

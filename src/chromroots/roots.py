@@ -375,11 +375,9 @@ def _seeds(factor: IntPolynomial, max_iter: int) -> list:
     z_j - z_k.  The seeds are returned as mpmath numbers centre + radius y.
     """
     d = factor.degree
-    cs = list(factor.coefficients)
-    centre = round(Fraction(-cs[-2], d * cs[-1]))
-    for i in range(d):  # Taylor shift: cs becomes factor(x + centre)
-        for j in range(d - 1, i - 1, -1):
-            cs[j] += centre * cs[j + 1]
+    centre = round(Fraction(-factor.coefficient(d - 1),
+                            d * factor.leading_coefficient()))
+    cs = factor.taylor_shift(centre).coefficients
     with mp.workprec(64):
         monic = [mp.mpf(c) / cs[-1] for c in cs]
         # Root-magnitude bound: the Cauchy bound 1 + max|c_i| explodes for

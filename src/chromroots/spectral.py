@@ -7,18 +7,29 @@ eigenvalues 2, lambda2, lambda3, 0 where lambda2 and lambda3 are the roots
 of t^2 + b1(x) t + b2(x) (transfer.CHAR_B1, CHAR_B2); everything is
 computed exactly in the real quadratic extension generated by that
 quadratic's discriminant.
+
+The classifier works with the same objects as series in eps.  The
+discriminant is eps^2 (9 - 32 eps + ...), so lambda2, the eigenvector
+v2 = (a, b, b, -1) and the projection Q(4 - eps)^T D v2(4 - eps) are power
+series with rational coefficients.  An end's class is the sign of the first
+nonzero coefficient, the sign of the eigen-projection that decides where
+the strip roots accumulate (Beraha, Kahane and Weiss, 1980).  How many
+coefficients can vanish before it is bounded from the degrees of Q, so the
+verdict is a proof, not a sampled sign.  eigensystem_at and
+second_projection_at at rational points remain the test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul
 from typing import List
 
 from .chromatic import PartitionVector
-from .exactnum import QuadExt, sqrt_rational
+from .exactnum import IntPolynomial, QuadExt, sqrt_rational
 from .transfer import (CHAR_B1, CHAR_B2, build_MD, gluing_weight_values,
                        gluing_weights)
 
@@ -38,10 +49,6 @@ V4 = (0, 1, -1, 0)
 
 class GuardError(ValueError):
     """Evaluation point outside the admissible interval."""
-
-
-class InconclusiveError(RuntimeError):
-    """The sign sweep did not reach the required agreement."""
 
 
 def eigenvalues_at(x: Fraction) -> tuple:
@@ -252,27 +259,161 @@ def second_projection_at(q: PartitionVector, x: Fraction) -> QuadExt:
     return out
 
 
+# ----------------------------------------------------------------------------
+# The exact eps-series of Q(4 - eps)^T D v2(4 - eps)
+# ----------------------------------------------------------------------------
+
+#: eps-order of the 2x2 determinant that fixes v2 = (a, b, b, -1); it is
+#: also the order of the common denominator w, since D(4) is regular.
+_DET_ORDER = 2
+
+
+def _at_four_minus_eps(p: IntPolynomial, n: int | None = None) -> list:
+    """Coefficients of p(4 - eps) in eps, constant term first: all of them,
+    or the first n (padded with zeros)."""
+    cs = [-c if i & 1 else c
+          for i, c in enumerate(p.taylor_shift(4).coefficients)]
+    return cs if n is None else (cs + [0] * n)[:n]
+
+
+def _series_mul(a: list, b: list) -> list:
+    """Product of two series given to the same number of coefficients."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _series_divide(a: list, b: list) -> list:
+    """a / b where b has eps-order _DET_ORDER and a vanishes to that order
+    (checked exactly); _DET_ORDER fewer coefficients than were given."""
+    v = _DET_ORDER
+    if any(b[:v]) or not b[v] or any(a[:v]):
+        raise ArithmeticError("eigenvector series: unexpected eps-order")
+    a, b = a[v:], b[v:]
+    out = []
+    for k in range(len(a)):
+        out.append((a[k] - sum(out[i] * b[k - i] for i in range(k))) / b[0])
+    return out
+
+
+def _lam_mul(e: tuple, f: tuple) -> tuple:
+    """(p + q lam)(r + s lam) with lam^2 = -CHAR_B1 lam - CHAR_B2; elements
+    of Z[x][lam2] are pairs (p, q) of IntPolynomial."""
+    (p, q), (r, s) = e, f
+    qs = q * s
+    return p * r - qs * CHAR_B2, p * s + q * r - qs * CHAR_B1
+
+
+def _lam_cross(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
+    """a b - c d in Z[x][lam2]."""
+    (p, q), (r, s) = _lam_mul(a, b), _lam_mul(c, d)
+    return p - r, q - s
+
+
+@lru_cache(maxsize=1)
+def _projection_multipliers() -> tuple:
+    """(m1, m2, m4, w) in Z[x][lam2] with
+    Q^T D v2 = (Q1 m1 + (Q2 + Q3) m2 + Q4 m4) / w.
+
+    v2 = (a, b, b, -1) solves the first two rows of (MD - lam2) v = 0,
+    A00 a + A01 b = R0 and A10 a + A11 b = R1, by Cramer's rule; the
+    entries of Q^T D v2 are then Q1 a / ff2, (Q2 + Q3) b / ff3, -Q4 / ff4.
+    """
+    md = build_MD().entries
+    zero, minus_one = IntPolynomial.zero(), IntPolynomial.constant(-1)
+    (a00, a01, r0), (a10, a11, r1) = (
+        ((md[i][0], minus_one if i == 0 else zero),
+         (md[i][1] + md[i][2], minus_one if i == 1 else zero),
+         (md[i][3], zero)) for i in (0, 1))
+    det = _lam_cross(a00, a11, a01, a10)
+    num_a = _lam_cross(r0, a11, a01, r1)
+    num_b = _lam_cross(a00, r1, r0, a10)
+    ff2, ff3, _, ff4 = gluing_weights()
+    return tuple(_lam_mul(e, (g, zero)) for e, g in (
+        (num_a, ff3 * ff4), (num_b, ff2 * ff4), (det, -(ff2 * ff3)),
+        (det, ff2 * ff3 * ff4)))
+
+
+def _lambda2_series(n: int) -> list:
+    """First n coefficients of lambda2(4 - eps) = (-b1 + eps h) / 2, where
+    h^2 = (b1^2 - 4 b2) / eps^2 = 9 - 32 eps + ... and h(0) = +3."""
+    disc = _at_four_minus_eps(CHAR_B1 * CHAR_B1 - CHAR_B2 * 4, n + 1)
+    root = math.isqrt(disc[2])
+    if disc[0] or disc[1] or root * root != disc[2]:
+        raise ArithmeticError("discriminant is not eps^2 times a square unit")
+    g = disc[2:]
+    h = [Fraction(root)]
+    for k in range(1, n - 1):
+        h.append(Fraction(g[k] - sum(h[i] * h[k - i] for i in range(1, k)),
+                          2 * root))
+    b1 = _at_four_minus_eps(CHAR_B1, n)
+    return [(-b1[k] + (h[k - 1] if k else 0)) / Fraction(2) for k in range(n)]
+
+
+@lru_cache(maxsize=None)
+def _weight_series(n: int) -> tuple:
+    """(c1, c2, c4) = v2_i / D_i at x = 4 - eps for i = 1, 2 (= 3), 4:
+    the first n coefficients of m_i / w.  Built on first use, not at
+    import; callers ask for powers of two, so few lengths are kept."""
+    length = n + _DET_ORDER
+    lam = _lambda2_series(length)
+
+    def expand(element):  # p + q lam2 at x = 4 - eps
+        p, q = (_at_four_minus_eps(r, length) for r in element)
+        return [u + v for u, v in zip(p, _series_mul(q, lam))]
+
+    *ms, w = map(expand, _projection_multipliers())
+    return tuple(tuple(_series_divide(m, w)) for m in ms)
+
+
+def _order_bound(sides: tuple) -> int:
+    """An eps-order the first nonzero coefficient of Q^T D v2 cannot pass
+    unless the series is 0; -1 when every side (Q1, Q2 + Q3, Q4) is 0.
+
+    Q^T D v2 = F / w with F = sum side_i m_i = U + V lam2 and U, V integer
+    polynomials.  F times its conjugate U + V lam3, a power series in eps,
+    is the norm U^2 - b1 U V + b2 V^2, an integer polynomial in x that is 0
+    only when F is (b1^2 - 4 b2 is not a square, so lam2 and lam3 are not
+    rational functions).  So the eps-order of F is at most the degree of
+    that norm, and that of F / w at most the degree less _DET_ORDER.
+    """
+    *ms, _ = _projection_multipliers()
+    degrees = [(s.degree + p.degree, s.degree + q.degree)
+               for s, (p, q) in zip(sides, ms) if s]
+    if not degrees:
+        return -1
+    du = max(u for u, _ in degrees)
+    dv = max(v for _, v in degrees)
+    return max(2 * du, du + dv + CHAR_B1.degree,
+               2 * dv + CHAR_B2.degree) - _DET_ORDER
+
+
 @dataclass(frozen=True)
 class Classification:
     """Classifier outcome for one end-graph."""
 
-    verdict: str                       # "positive" / "negative" / "inconclusive"
-    constant: Fraction                 # (5/24) P1(4) fast-path constant
-    sweep: tuple = ()                  # ((k, sign), ...) probes at x = 4 - 2^-k
+    verdict: str        # "positive" / "negative"
+    series: tuple       # Fractions: eps^0 .. first nonzero coefficient + 2
+
+    @property
+    def constant(self) -> Fraction:
+        """(5/24) P1(4), the eps^0 coefficient of the series."""
+        return self.series[0]
 
     @property
     def conclusive(self) -> bool:
-        return self.verdict != "inconclusive"
+        """Always True: the sign of the first nonzero coefficient of an
+        exact series is a proof, so there is no inconclusive verdict."""
+        return True
 
 
-def classify_end_graph(q: PartitionVector, *, k_start: int = 4, k_end: int = 40,
-                       agreement: int = 8) -> Classification:
+def classify_end_graph(q: PartitionVector) -> Classification:
     """Classify a planar end-graph by the sign of Q^T D v2 as x -> 4.
 
-    Fast path: the limit constant (5/24) P1(4) is positive for any end-graph
-    whose diagonal contraction is 4-colourable.  Otherwise the sign is probed
-    at x = 4 - 2^-k for k = k_start..k_end and accepted once `agreement`
-    consecutive probes agree and are nonzero.
+    The verdict is the sign of the first nonzero coefficient of the exact
+    series of Q(4 - eps)^T D v2(4 - eps) in eps (each Q_i(4 - eps) an
+    integer Taylor shift, the weights v2_i / D_i fixed rational series).
+    The coefficients are taken up to the first nonzero one and two more.
+    If every coefficient up to _order_bound is 0 the series vanishes
+    identically, the end has no class and ValueError is raised.
 
     The caller asserts planarity with the frame as a face; the testable part
     of that contract (the planar-face identity) is enforced here.
@@ -280,35 +421,27 @@ def classify_end_graph(q: PartitionVector, *, k_start: int = 4, k_end: int = 40,
     if not planar_face_identity(q):
         raise ValueError("partition vector violates the planar-face identity; "
                          "classification applies to planar face-framed graphs")
-    constant = classifier_constant(q)
-    if constant > 0:
-        return Classification("positive", constant)
-    sweep = []
-    run_sign = 0
-    run_len = 0
-    for k in range(k_start, k_end + 1):
-        x = Fraction(4) - Fraction(1, 2 ** k)
-        s = second_projection_at(q, x).sign()
-        sweep.append((k, s))
-        if s != 0 and s == run_sign:
-            run_len += 1
-        else:
-            run_sign = s
-            run_len = 1 if s != 0 else 0
-        if run_len >= agreement:
-            verdict = "positive" if run_sign > 0 else "negative"
-            return Classification(verdict, constant, tuple(sweep))
-    return Classification("inconclusive", constant, tuple(sweep))
+    sides = (q.p1, q.p2 + q.p3, q.p4)
+    shifted = [_at_four_minus_eps(s) for s in sides]
+    bound = _order_bound(sides)
+    series = []
+    while not any(series[:-2]):
+        k = len(series)
+        if k > bound and not any(series):
+            raise ValueError("Q(4 - eps)^T D v2(4 - eps) vanishes identically; "
+                             "the end-graph has no class")
+        weights = _weight_series(1 << max(3, k.bit_length()))
+        series.append(sum((s[j] * c[k - j] for s, c in zip(shifted, weights)
+                           for j in range(min(k + 1, len(s)))), Fraction(0)))
+    first = next(c for c in series if c)
+    return Classification("positive" if first > 0 else "negative",
+                          tuple(series))
 
 
 def predict_roots_to_four(qa: PartitionVector, qb: PartitionVector) -> bool:
     """True when the two end-graph classes differ, i.e. the strip family has
     real chromatic roots approaching 4."""
-    ca = classify_end_graph(qa)
-    cb = classify_end_graph(qb)
-    if not ca.conclusive or not cb.conclusive:
-        raise InconclusiveError("end-graph classification was inconclusive")
-    return ca.verdict != cb.verdict
+    return classify_end_graph(qa).verdict != classify_end_graph(qb).verdict
 
 
 def limit_projection_check(q: PartitionVector) -> bool:

@@ -145,22 +145,29 @@ def test_criterion_08_planar_face_identity(q_h, q_w4, q_l, q_neg10):
 
 
 def test_criterion_09_classification(q_h, q_w4, q_neg10):
-    ok = (classify_end_graph(q_w4).verdict == "positive"
-          and classify_end_graph(q_h).verdict == "negative"
+    w4, h = classify_end_graph(q_w4), classify_end_graph(q_h)
+    ok = (w4.verdict == "positive"
+          and h.verdict == "negative"
           and classify_end_graph(q_neg10).verdict == "negative"
-          and predict_roots_to_four(q_h, q_w4) is True)
-    detail = ("W4 positive, H negative, neg10 negative, prediction true; "
+          and predict_roots_to_four(q_h, q_w4) is True
+          and w4.series[:3] == (5, Fraction(20, 3), Fraction(277, 27))
+          and h.series[:3] == (0, -50, Fraction(925, 3)))
+    detail = ("W4 positive (5 + 20/3 eps + 277/27 eps^2), H negative "
+              "(-50 eps + 925/3 eps^2), neg10 negative, prediction true; "
               "series-remainder sub-clause tracked separately (spec bound "
-              "unattainable, see ledger)")
+              "10 eps^2 is below the eps^2 coefficients 925/3 ~ 308.3 and "
+              "277/27 ~ 10.26)")
     report(9, ok, detail)
     assert ok
 
 
 @pytest.mark.xfail(strict=True,
                    reason="stated tolerance 10*eps^2 is below the true "
-                          "second-order remainder constants (~308.3 for the "
-                          "16-vertex end, ~10.26 for the wheel); the series "
-                          "themselves are correct, see the scaling test")
+                          "second-order remainder constants (925/3 ~ 308.3 "
+                          "for the 16-vertex end, 277/27 ~ 10.26 for the "
+                          "wheel, the eps^2 coefficients of the exact "
+                          "series); the series themselves are correct, see "
+                          "the scaling test")
 def test_criterion_09_projection_tolerance_as_stated(q_h, q_w4):
     eps = Fraction(1, 100)
     x = 4 - eps
@@ -175,8 +182,9 @@ def test_criterion_09_projection_tolerance_as_stated(q_h, q_w4):
 
 def test_criterion_09_projection_series_correct_order(q_h, q_w4):
     # The attainable form of the same check: the deviations from -50 eps and
-    # 5 + 20 eps/3 are genuinely second order, with measured constants
-    # ~308.33 and ~10.26 (bounded here by 320 and 12 across a dyadic range).
+    # 5 + 20 eps/3 are genuinely second order, with constants 925/3 ~ 308.33
+    # and 277/27 ~ 10.26, the eps^2 coefficients of the exact series
+    # (bounded here by 320 and 12 across a dyadic range).
     for k in (5, 7, 9, 11):
         eps = Fraction(1, 2 ** k)
         x = 4 - eps

@@ -5,11 +5,13 @@ import json
 
 import pytest
 
-from chromroots.cli import (MAX_BITS, MAX_DIGITS, MAX_ITER, MAX_POINTWISE_N,
-                            MAX_SYMBOLIC_N, main)
+from chromroots import cli
+from chromroots.cli import (MAX_BITS, MAX_DIGITS, MAX_ITER, MAX_JOBS,
+                            MAX_NODE_BUDGET, MAX_POINTWISE_N, MAX_SYMBOLIC_N,
+                            main)
 from chromroots.roots import MAX_DEGREE
-from chromroots.tables import DOUBLING_ROWS
-from chromroots.transfer import StripFamily
+from chromroots.tables import BY_N_ROWS, DOUBLING_ROWS
+from chromroots.transfer import SYMBOLIC_LIMIT, StripFamily
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +113,36 @@ def test_family_caps_before_building_the_strip(capsys, monkeypatch):
     assert built == []
 
 
+def test_node_budget_range_before_any_engine_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "partitioned_chromatic",
+                        lambda *a, **kw: pytest.fail("engine ran"))
+    for budget in ("-3", "0", str(MAX_NODE_BUDGET + 1)):
+        _assert_one_line_error(capsys, "classify", "H", "--node-budget", budget)
+        _assert_one_line_error(capsys, "reproduce-tables", "--only", "table1",
+                               "--node-budget", budget)
+
+
+def test_verify_golden_range_before_building_the_strip(capsys, monkeypatch):
+    monkeypatch.setattr(StripFamily, "from_framed",
+                        lambda *ends, **kw: pytest.fail("strip built"))
+    for argv in (("--n", "0"), ("--n", str(SYMBOLIC_LIMIT + 1)),
+                 ("--n", "200"), ("--max-n", "-2"), ("--max-n", "0"),
+                 ("--max-n", str(SYMBOLIC_LIMIT + 1))):
+        _assert_one_line_error(capsys, "verify-golden", "--endA", "W4",
+                               "--endB", "W4", *argv)
+
+
+def test_jobs_cap_before_any_pool(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda *a, **kw: pytest.fail("pool created"))
+    monkeypatch.setattr(cli, "partitioned_chromatic",
+                        lambda *a, **kw: pytest.fail("engine ran"))
+    for jobs in ("0", "-1", str(MAX_JOBS + 1), "100000"):
+        _assert_one_line_error(capsys, "reproduce-tables", "--jobs", jobs)
+    # A further worker would never get a row.
+    assert MAX_JOBS == max(len(BY_N_ROWS), len(DOUBLING_ROWS))
+
+
 def test_croots_that_does_not_converge_gives_one_line(capsys):
     assert main(["croots", "--endA", "W4", "--endB", "W4", "--n", "1",
                  "--max-iter", "1"]) == 1
@@ -175,8 +207,12 @@ def test_root4_no_sign_change(capsys):
 def test_classify_and_predict(capsys):
     code, out = run_cli(capsys, "classify", "neg10")
     assert code == 0
-    assert out.splitlines()[0] == "negative"
-    assert "k,sign" in out
+    assert out.splitlines() == ["negative", "constant 0/1", "order,coefficient",
+                                "0,0/1", "1,-10/3", "2,400/27", "3,-2717/243"]
+    code, out = run_cli(capsys, "classify", "W4", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "positive", "constant": "5/1",
+                               "series": ["5/1", "20/3", "277/27"]}
     code, out = run_cli(capsys, "predict", "--endA", "H", "--endB", "W4",
                         "--format", "json")
     assert code == 0

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromroots.exactnum import (FallingFactorialCombo, GOLDEN_RATIO,
                                  InexactDivisionError, IntPolynomial,
@@ -88,6 +90,17 @@ def test_polynomial_rational_evaluation():
     assert p.sign_at(Fraction(7, 5)) == -1
     assert p.sign_at(Fraction(0)) == -1
     assert IntPolynomial([]).eval_fraction(Fraction(1, 3)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=30),
+       st.integers(-1000, 1000),
+       st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6))
+def test_taylor_shift_against_eval_fraction(coefficients, c, x):
+    p = IntPolynomial(coefficients)
+    shifted = p.taylor_shift(c)
+    assert shifted.degree == p.degree
+    assert shifted.eval_fraction(x) == p.eval_fraction(x + c)
 
 
 def test_polynomial_serialization_roundtrip():

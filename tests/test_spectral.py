@@ -1,12 +1,15 @@
 """Eigen-analysis at fixed x, orthogonality, decomposition, classification."""
 
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from chromroots.chromatic import partitioned_chromatic
-from chromroots.exactnum import QuadExt
+from chromroots.chromatic import PartitionVector, partitioned_chromatic
+from chromroots.exactnum import IntPolynomial, QuadExt, falling_factorial
 from chromroots.graphs import FramedGraph, Graph
 from chromroots.spectral import (GUARD_LO, GuardError, classifier_constant,
                                  classify_end_graph, decompose, eigen_residual,
@@ -141,11 +144,47 @@ def test_classification_fixtures(q_h, q_w4, q_neg10):
     assert classify_end_graph(q_neg10).verdict == "negative"
 
 
-def test_classification_sweep_trace(q_h):
-    c = classify_end_graph(q_h)
-    assert len(c.sweep) == 8
-    assert all(s == -1 for _, s in c.sweep)
-    assert c.sweep[0][0] == 4
+@pytest.mark.parametrize("name, prefix", [
+    ("q_w4", (5, Fraction(20, 3), Fraction(277, 27))),
+    ("q_h", (0, -50, Fraction(925, 3))),
+    ("q_l", (5, 0, Fraction(-1, 9))),
+    ("q_neg10", (0, Fraction(-10, 3), Fraction(400, 27))),
+], ids=["W4", "H", "L", "neg10"])
+def test_classification_series_prefixes(request, name, prefix):
+    q = request.getfixturevalue(name)
+    c = classify_end_graph(q)
+    assert c.series[:3] == prefix
+    # Up to the first nonzero coefficient, then two more.
+    first = next(k for k, v in enumerate(c.series) if v)
+    assert len(c.series) == first + 3
+    assert c.verdict == ("positive" if c.series[first] > 0 else "negative")
+    assert c.constant == classifier_constant(q) and c.conclusive
+
+
+@pytest.mark.parametrize("name", ["q_h", "q_w4"], ids=["H", "W4"])
+def test_series_matches_projection_to_third_order(request, name):
+    # The series truncated after eps^2 against the exact projection at
+    # x = 4 - 2^-k: the remainder stays within 800 eps^3 (the eps^3
+    # coefficients are -2165/3 for H and 3397/243 for W4).
+    q = request.getfixturevalue(name)
+    s0, s1, s2 = classify_end_graph(q).series[:3]
+    for k in range(6, 11):
+        eps = Fraction(1, 2 ** k)
+        exact = second_projection_at(q, 4 - eps)
+        dev = abs(exact - QuadExt(s0 + s1 * eps + s2 * eps ** 2, 0, exact.d))
+        assert (QuadExt(800 * eps ** 3, 0, exact.d) - dev).sign() > 0, k
+
+
+def test_series_that_vanishes_identically_raises():
+    # The order bound needs lam2 outside Q(x): the discriminant
+    # b1^2 - 4 b2 takes a non-square value, so it is not a square.
+    assert not eigenvalues_at(Fraction(387, 100))[1].is_rational()
+    zero = IntPolynomial.zero()
+    ff3 = falling_factorial(3)
+    for q in (PartitionVector(zero, zero, zero, zero),
+              PartitionVector(zero, ff3, -ff3, zero)):
+        with pytest.raises(ValueError, match="vanishes identically"):
+            classify_end_graph(q)
 
 
 def test_classification_invariance_under_relabelling(fg_neg10, q_neg10):
@@ -170,7 +209,44 @@ def test_predict_pairs(q_h, q_w4, q_neg10):
 
 
 def test_wheel_sweep_sign_is_positive(q_w4):
-    # Even though the wheel takes the fast path, its sweep signs agree.
+    # The exact projection at probe points agrees with the series verdict.
     for k in (4, 6, 8):
         x = Fraction(4) - Fraction(1, 2 ** k)
         assert second_projection_at(q_w4, x).sign() == 1
+
+
+# -- the verdicts of the benchmark's seeded random ends ------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+#: (seed, index) of the 12 negative ends among seeds 1-100.
+NEGATIVE_ENDS = ((3, 31), (10, 10), (20, 59), (25, 58), (31, 16), (36, 37),
+                 (51, 16), (67, 45), (83, 51), (84, 23), (88, 45), (97, 10))
+
+
+@pytest.fixture(scope="module")
+def seeded():
+    """(verdicts.json as {seed: string}, endgen.seeded_ends)."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import endgen
+    key = json.loads((PERFBENCH / "verdicts.json").read_text())
+    return {int(seed): v for seed, v in key.items()}, endgen.seeded_ends
+
+
+def _symbol(fg) -> str:
+    verdict = classify_end_graph(partitioned_chromatic(fg)).verdict
+    return "+" if verdict == "positive" else "-"
+
+
+def test_series_verdicts_of_the_negative_seeded_ends(seeded):
+    key, seeded_ends = seeded
+    assert sorted((s, i) for s, v in key.items()
+                  for i, c in enumerate(v) if c == "-") == list(NEGATIVE_ENDS)
+    for seed, index in NEGATIVE_ENDS:
+        assert _symbol(seeded_ends(seed)[index]) == "-", (seed, index)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_series_verdicts_of_every_end_of_a_seed(seeded, seed):
+    key, seeded_ends = seeded
+    assert "".join(map(_symbol, seeded_ends(seed))) == key[seed]
