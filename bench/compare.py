@@ -32,7 +32,8 @@ TRACED_PAIRS = 1
 #: Traced layer metrics recorded beside the end-to-end ones.
 LAYER_METRICS = ("chromatic.self_s", "chromatic.cache_entries",
                  "transfer.value_at_ms", "transfer.layers_extended",
-                 "exactnum.poly_mul_calls", "roots.croots_s")
+                 "exactnum.poly_mul_calls", "roots.sign_evals_per_root",
+                 "roots.croots_s")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int,

@@ -263,11 +263,17 @@ def chromatic_polynomial(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET,
                          cache_limit: int = DEFAULT_CACHE_LIMIT) -> IntPolynomial:
     """Exact chromatic polynomial of a simple graph.
 
-    Raises ResourceLimitError if the recursion exceeds `node_budget`.
-    A shared `cache` dict may be passed in to amortise related runs.
+    Raises ResourceLimitError if the recursion exceeds `node_budget` or
+    the interpreter's recursion limit.  A shared `cache` dict may be passed
+    in to amortise related runs.
     """
     engine = _Engine(node_budget, cache, cache_limit)
-    return engine.poly(g.adjacency_masks())
+    try:
+        return engine.poly(g.adjacency_masks())
+    except RecursionError:
+        # Sound to abandon: the memo only ever holds finished results.
+        raise ResourceLimitError("deletion-contraction recursion exceeded "
+                                 "Python's depth limit") from None
 
 
 # ----------------------------------------------------------------------------

@@ -20,9 +20,10 @@ starts: root4 --n <= MAX_POINTWISE_N, root4 --digits <= MAX_DIGITS,
 family --n <= --symbolic-limit <= MAX_SYMBOLIC_N, croots --bits <=
 MAX_BITS, croots --max-iter <= MAX_ITER, the croots strip's vertex
 count (its degree) <= roots.MAX_DEGREE, verify-golden --n and --max-n <=
-transfer.SYMBOLIC_LIMIT and reproduce-tables --jobs <= MAX_JOBS.  Every
-subcommand that runs the deletion-contraction engine (all but verify-M)
-takes --node-budget, at most MAX_NODE_BUDGET.
+transfer.SYMBOLIC_LIMIT, reproduce-tables --max-n <= MAX_TABLE_N and
+reproduce-tables --jobs <= MAX_JOBS.  Every subcommand that runs the
+deletion-contraction engine (all but verify-M) takes --node-budget, at
+most MAX_NODE_BUDGET.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .chromatic import (DEFAULT_NODE_BUDGET, PartitionVector,
                         ResourceLimitError, chromatic_polynomial,
                         partitioned_chromatic)
 from .graphs import FIXTURE_NAMES, FramedGraph, load_fixture, parse_graph_text
-from .roots import (MAX_DEGREE, NoSignChangeError, RootConvergenceError,
-                    complex_roots, fraction_to_decimal,
+from .roots import (MAX_DEGREE, NoSignChangeError, NonPositiveAtFourError,
+                    RootConvergenceError, complex_roots, fraction_to_decimal,
                     largest_root_near_four)
 from .spectral import classify_end_graph
 from .tables import (BY_N_ROWS, DOUBLING_ROWS, ROOT_TOLERANCE,
@@ -73,6 +74,8 @@ MAX_NODE_BUDGET = 10 * DEFAULT_NODE_BUDGET
 #: larger one has 15 root rows, so a further worker would never get a row;
 #: the pool forks all its workers at once.
 MAX_JOBS = max(len(BY_N_ROWS), len(DOUBLING_ROWS))
+#: Cap on reproduce-tables --max-n: the largest row of either table.
+MAX_TABLE_N = max(BY_N_ROWS + DOUBLING_ROWS)
 
 
 def _check_range(option: str, value: int, lo: int, hi: int) -> None:
@@ -163,9 +166,11 @@ def cmd_root4(args) -> int:
     try:
         res = largest_root_near_four(fam, args.n, width=width,
                                      digits=args.digits)
-    except NoSignChangeError as exc:
-        _emit(args, {"error": "no-sign-change", "detail": str(exc)},
-              f"no sign change: {exc}\n")
+    except (NoSignChangeError, NonPositiveAtFourError) as exc:
+        kind = ("no sign change" if isinstance(exc, NoSignChangeError)
+                else "not positive at 4")
+        _emit(args, {"error": kind.replace(" ", "-"), "detail": str(exc)},
+              f"{kind}: {exc}\n")
         return 1
     payload = {"n": args.n, "digits": args.digits, "root": res.decimal,
                "bracket_lo": _fraction_str(res.bracket.lo),
@@ -306,6 +311,7 @@ def _reproduce_roots(fam: StripFamily, rows, reference, digits, offset, jobs):
 
 
 def cmd_reproduce_tables(args) -> int:
+    _check_range("--max-n", args.max_n, 1, MAX_TABLE_N)
     if args.jobs is not None:
         _check_range("--jobs", args.jobs, 1, MAX_JOBS)
     which = args.only or "all"
@@ -450,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-tables",
                        help="regenerate the bundled reference tables")
     p.add_argument("--only", choices=("table1", "table2", "table3"))
-    p.add_argument("--max-n", type=int, default=512)
+    p.add_argument("--max-n", type=int, default=MAX_TABLE_N,
+                   help=f"largest table row to reproduce, at most {MAX_TABLE_N}")
     p.add_argument("--jobs", type=int,
                    help=f"worker processes (default <= 4, at most {MAX_JOBS})")
     p.add_argument("--report", help="write a JSON report to this path")

@@ -6,15 +6,15 @@ for planar triangulations.
 
 Strip families are computed from the recurrence that the characteristic
 polynomial det(tI - MD) = t (t - 2) (t^2 + CHAR_B1 t + CHAR_B2) gives by
-Cayley-Hamilton, not from powers of MD: 2 or 3 polynomial multiply-adds per
-layer symbolically, and s^(n-2) modulo the recurrence by integer
-square-and-multiply pointwise.  TransferMatrix.power and extend_one_layer
-remain the 4x4 path that tests compare against.
+Cayley-Hamilton, not from powers of MD.  Both paths start from one cached
+strip head per end pair (X(1..4) and the recurrence's modulus), then take
+2 or 3 polynomial multiply-adds per layer symbolically, or s^(n-2) modulo
+the recurrence by integer square-and-multiply pointwise.
+TransferMatrix.power remains the 4x4 path that tests compare against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,10 +37,6 @@ CHAR_B2 = IntPolynomial((540, -1350, 1368, -722, 210, -32, 2))
 #: Default cap on strip length for symbolic family polynomials; longer
 #: strips are served pointwise by family_value_at.
 SYMBOLIC_LIMIT = 128
-
-
-class SingularWeightError(ZeroDivisionError):
-    """The gluing weight D is singular at x in {0, 1, 2, 3}."""
 
 
 @dataclass(frozen=True)
@@ -166,14 +162,37 @@ def extend_one_layer(q: PartitionVector) -> PartitionVector:
     return PartitionVector(*build_MD().apply(tuple(q)))
 
 
+@lru_cache(maxsize=16)  # every pair of the four bundled fixtures
+def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
+    """X(1..4) of the strip with ends A and B, by gluing and layer
+    extension, and the low coefficients (constant first) of a monic
+    annihilator of the sequence X(2), X(3), ..., all as IntPolynomials.
+
+    By Cayley-Hamilton the cubic (s - 2)(s^2 + CHAR_B1 s + CHAR_B2)
+    annihilates the sequence from n = 2 on.  The residual
+    r(n) = X(n+2) + CHAR_B1 X(n+1) + CHAR_B2 X(n) then obeys
+    r(n+1) = 2 r(n), so when r(2) is exactly zero the quadratic alone
+    annihilates it (face-framed planar ends); otherwise the cubic is used.
+    """
+    grown = [qb]
+    for _ in range(3):
+        grown.append(extend_one_layer(grown[-1]))
+    xs = tuple(glue(qa, q) for q in grown)
+    if not (xs[3] + CHAR_B1 * xs[2] + CHAR_B2 * xs[1]):
+        low = (CHAR_B2, CHAR_B1)
+    else:
+        low = (-2 * CHAR_B2, CHAR_B2 - 2 * CHAR_B1,
+               CHAR_B1 - IntPolynomial.constant(2))
+    return xs, low
+
+
 def family_polynomial(qa: PartitionVector, qb: PartitionVector, n: int, *,
                       symbolic_limit: int = SYMBOLIC_LIMIT) -> IntPolynomial:
     """Exact chromatic polynomial of the n-layer strip with end graphs A
     and B: the scalar X(n) = Q(A)^T D (MD)^(n-1) Q(B).
 
-    X(1..4) come from gluing and layer extension; every further layer is
-    2 or 3 polynomial multiply-adds of the strip recurrence (see
-    _strip_modulus).
+    X(1..4) come from the strip head; every further layer is 2 or 3
+    polynomial multiply-adds of the strip recurrence (see _strip_head).
     """
     if n < 1:
         raise ValueError("strip length must be >= 1")
@@ -181,36 +200,14 @@ def family_polynomial(qa: PartitionVector, qb: PartitionVector, n: int, *,
         raise ValueError(
             f"n={n} exceeds the symbolic limit {symbolic_limit}; "
             "use family_value_at for pointwise values")
-    xs = []
-    grown = qb
-    for k in range(min(n, 4)):
-        if k:
-            grown = extend_one_layer(grown)
-        xs.append(glue(qa, grown))
+    xs, low = _strip_head(qa, qb)
     if n <= 4:
         return xs[n - 1]
-    low = _strip_modulus(xs[1], xs[2], xs[3], CHAR_B1, CHAR_B2,
-                         IntPolynomial.constant(2))
-    window = xs[4 - len(low):]
+    window = list(xs[4 - len(low):])
     for _ in range(n - 4):
         step = sum((c * w for c, w in zip(low, window)), IntPolynomial.zero())
         window = window[1:] + [-step]
     return window[-1]
-
-
-def _strip_modulus(x2, x3, x4, p, q, t) -> tuple:
-    """Low coefficients (constant first) of a monic annihilator of the strip
-    sequence X(2), X(3), ..., whose scaled characteristic polynomial is
-    (s - t)(s^2 + p s + q); works over the integers and over IntPolynomial.
-
-    By Cayley-Hamilton the cubic annihilates the sequence from n = 2 on.
-    The residual r(n) = X(n+2) + p X(n+1) + q X(n) then obeys
-    r(n+1) = t r(n), so when r(2) is exactly zero the quadratic alone
-    annihilates it (face-framed planar ends); otherwise the cubic is used.
-    """
-    if not (x4 + p * x3 + q * x2):
-        return (q, p)
-    return (-t * q, q - t * p, p - t)
 
 
 def _power_mod(k: int, low: Sequence[int]) -> list:
@@ -242,45 +239,31 @@ def _power_mod(k: int, low: Sequence[int]) -> list:
 def family_value_at(qa: PartitionVector, qb: PartitionVector, n: int,
                     x: Fraction) -> Fraction:
     """Exact value of the strip-family chromatic polynomial at a rational
-    point, from the strip recurrence by square-and-multiply.
+    point: X(1..4) from the strip head, beyond by square-and-multiply.
 
-    With x = a/b everything is cleared to integers: S = b^4 MD(x) is
-    integral (MD entries have degree <= 4), so Y(k) = b^(4(k-1)) X(k) for
-    k = 1..4 are integers over one common denominator, and Y obeys the
-    strip recurrence with P = b^4 b1(x), Q = b^8 b2(x) and T = 2 b^4.  Then
-    Y(n) = sum_i r_i Y(i+2) with r = s^(n-2) mod the recurrence's modulus,
-    and X(n) = Y(n) / b^(4(n-1)).
+    With x = a/b everything is cleared to integers: the least e >= 0 with
+    deg X(k+2) <= e + 4k for the d starting terms makes them integers
+    Y(k) = b^(e+4k) X(k+2), and Y obeys the recurrence whose coefficient
+    of s^i, of degree at most 4(d-i), is scaled by b^(4(d-i)).  Then
+    Y(n-2) = sum_i r_i Y(i) with r = s^(n-2) mod that modulus, and
+    X(n) = Y(n-2) / b^(e+4(n-2)).
     """
     if n < 1:
         raise ValueError("strip length must be >= 1")
     x = Fraction(x)
-    if x in (0, 1, 2, 3):
-        raise SingularWeightError(f"gluing weight D is singular at x = {x}")
-    a, b = x.numerator, x.denominator
-    md = tuple(tuple(e.scaled_value(a, b, min_degree=4) for e in row)
-               for row in build_MD().entries)
-    # Q(A)^T D at x over a common denominator c; Q(B) scaled by b^degree.
-    weighted = [p.eval_fraction(x) / w
-                for p, w in zip(qa, gluing_weight_values(x))]
-    c = math.lcm(*(w.denominator for w in weighted))
-    ua = [w.numerator * (c // w.denominator) for w in weighted]
-    degree_b = max(0, *(p.degree for p in qb))
-    v = [p.scaled_value(a, b, min_degree=degree_b) for p in qb]
-    ys = []
-    for k in range(min(n, 4)):
-        if k:
-            v = [sum(m * e for m, e in zip(row, v)) for row in md]
-        ys.append(sum(u * e for u, e in zip(ua, v)))
+    xs, low = _strip_head(qa, qb)
     if n <= 4:
-        numerator = ys[n - 1]
-    else:
-        low = _strip_modulus(ys[1], ys[2], ys[3],
-                             CHAR_B1.scaled_value(a, b, min_degree=4),
-                             CHAR_B2.scaled_value(a, b, min_degree=8),
-                             2 * b ** 4)
-        r = _power_mod(n - 2, low)
-        numerator = sum(ri * yi for ri, yi in zip(r, ys[1:]))
-    return Fraction(numerator, c * b ** (degree_b + 4 * (n - 1)))
+        return xs[n - 1].eval_fraction(x)
+    a, b = x.numerator, x.denominator
+    d = len(low)
+    starts = xs[1:1 + d]
+    e = max(0, *(p.degree - 4 * k for k, p in enumerate(starts)))
+    ys = [p.scaled_value(a, b, min_degree=e + 4 * k)
+          for k, p in enumerate(starts)]
+    r = _power_mod(n - 2, [c.scaled_value(a, b, min_degree=4 * (d - i))
+                           for i, c in enumerate(low)])
+    return Fraction(sum(ri * yi for ri, yi in zip(r, ys)),
+                    b ** (e + 4 * (n - 2)))
 
 
 def family_sign_at(qa: PartitionVector, qb: PartitionVector, n: int,
@@ -306,9 +289,6 @@ class StripFamily:
 
     def polynomial(self, n: int, **kw) -> IntPolynomial:
         return family_polynomial(self.qa, self.qb, n, **kw)
-
-    def value_at(self, n: int, x: Fraction) -> Fraction:
-        return family_value_at(self.qa, self.qb, n, x)
 
     def sign_at(self, n: int, x: Fraction) -> int:
         return family_sign_at(self.qa, self.qb, n, x)

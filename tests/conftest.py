@@ -8,7 +8,16 @@ import pytest
 
 from chromroots.chromatic import partitioned_chromatic
 from chromroots.graphs import framed_square, load_fixture, wheel4
-from chromroots.transfer import StripFamily
+from chromroots.transfer import StripFamily, _strip_head
+
+
+@pytest.fixture(scope="module", autouse=True)
+def cold_strip_heads():
+    """Strip heads cached by one test module stay out of the next, so a
+    traced strip call elsewhere (perfbench's trace test) still sees the
+    head being built."""
+    yield
+    _strip_head.cache_clear()
 
 
 @pytest.fixture(scope="session")

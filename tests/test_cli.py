@@ -8,7 +8,7 @@ import pytest
 from chromroots import cli
 from chromroots.cli import (MAX_BITS, MAX_DIGITS, MAX_ITER, MAX_JOBS,
                             MAX_NODE_BUDGET, MAX_POINTWISE_N, MAX_SYMBOLIC_N,
-                            main)
+                            MAX_TABLE_N, main)
 from chromroots.roots import MAX_DEGREE
 from chromroots.tables import BY_N_ROWS, DOUBLING_ROWS
 from chromroots.transfer import SYMBOLIC_LIMIT, StripFamily
@@ -34,6 +34,15 @@ def test_json_output_deterministic(capsys):
     _, first = run_cli(capsys, "qvec", "neg10", "--format", "json")
     _, second = run_cli(capsys, "qvec", "neg10", "--format", "json")
     assert first == second
+
+
+def test_poly_too_deep_for_the_engine_is_a_resource_limit(tmp_path, capsys):
+    path = tmp_path / "c500.graph"
+    path.write_text("vertices 500\n"
+                    + "".join(f"edge {v} {(v + 1) % 500}\n" for v in range(500)))
+    assert main(["poly", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 def test_poly_from_file(tmp_path, capsys):
@@ -122,6 +131,14 @@ def test_node_budget_range_before_any_engine_work(capsys, monkeypatch):
                                "--node-budget", budget)
 
 
+def test_max_n_range_before_any_engine_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "partitioned_chromatic",
+                        lambda *a, **kw: pytest.fail("engine ran"))
+    for max_n in ("-2", "0", str(MAX_TABLE_N + 1)):
+        _assert_one_line_error(capsys, "reproduce-tables", "--only", "table2",
+                               "--max-n", max_n)
+
+
 def test_verify_golden_range_before_building_the_strip(capsys, monkeypatch):
     monkeypatch.setattr(StripFamily, "from_framed",
                         lambda *ends, **kw: pytest.fail("strip built"))
@@ -202,6 +219,21 @@ def test_root4_no_sign_change(capsys):
                         "--n", "2")
     assert code == 1
     assert "no sign change" in out
+
+
+def test_root4_not_positive_at_four(tmp_path, capsys):
+    # A framed 4-cycle with both diagonals and a hub is K5: glued to any end
+    # it gives a graph with no proper 4-colouring, so X(n)(4) = 0.
+    path = tmp_path / "k5.graph"
+    path.write_text("vertices 5\n"
+                    + "".join(f"edge {u} {v}\n" for u, v in
+                              [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3),
+                               (0, 4), (1, 4), (2, 4), (3, 4)])
+                    + "frame 0 1 2 3\n")
+    code, out = run_cli(capsys, "root4", "--endA", str(path), "--endB", "W4",
+                        "--n", "3")
+    assert code == 1
+    assert out.startswith("not positive at 4: ") and out.count("\n") == 1
 
 
 def test_classify_and_predict(capsys):

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chromroots import transfer
 from chromroots.chromatic import PartitionVector, chromatic_polynomial
 from chromroots.exactnum import (FallingFactorialCombo, IntPolynomial,
                                  falling_factorial, falling_factorial_at)
 from chromroots.graphs import (Graph, cycle_graph, double_ended_strip,
                                framed_square, load_fixture, wheel4)
 from chromroots.transfer import (CHAR_B1, CHAR_B2, TYPE_COLOUR_COUNTS,
-                                 SingularWeightError, _strip_modulus, build_M,
-                                 build_MD, extend_one_layer, family_polynomial,
+                                 _strip_head, build_M, build_MD,
+                                 extend_one_layer, family_polynomial,
                                  family_sign_at, family_value_at, glue,
                                  gluing_weights, golden_identity_check,
                                  identity_matrix, layer_type_counts,
@@ -127,10 +128,27 @@ def test_family_value_at_matches_symbolic(q_h, q_w4):
     assert family_sign_at(q_h, q_w4, 2, Fraction(4)) == 1
 
 
-def test_family_value_singular_points(q_h, q_w4):
-    for bad in (0, 1, 2, 3):
-        with pytest.raises(SingularWeightError):
-            family_value_at(q_h, q_w4, 5, Fraction(bad))
+def test_family_value_singular_points(fixture_vectors):
+    # D(x) is singular at 0..3, but X(n) is a polynomial and defined there.
+    for qa, qb in product(fixture_vectors.values(), repeat=2):
+        for n in range(1, MAX_ORACLE_N + 1):
+            p = family_polynomial(qa, qb, n)
+            for x in (0, 1, 2, 3):
+                assert family_value_at(qa, qb, n, Fraction(x)) == p(x)
+
+
+def test_strip_head_is_built_once_per_pair(q_h, q_w4, monkeypatch):
+    calls = {"glue": 0, "extend_one_layer": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(transfer, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(transfer, name, counted)
+    _strip_head.cache_clear()
+    for n in range(1, 26):
+        family_polynomial(q_h, q_w4, n)
+        family_value_at(q_h, q_w4, 20 * n, Fraction(399, 100))
+    assert calls == {"glue": 4, "extend_one_layer": 3}
 
 
 def test_family_value_large_n_positive_at_four(q_h, q_w4):
@@ -178,9 +196,9 @@ def test_verify_M_oracle_subrange():
 # ----------------------------------------------------------------------------
 
 MAX_ORACLE_N = 20
-TWO = IntPolynomial.constant(2)
 
-#: Rationals away from the singular points 0..3 of the gluing weight D.
+#: Rationals away from 0..3, where the oracle divides by the falling
+#: factorials of the gluing weight D.
 points = st.fractions(min_value=-6, max_value=6, max_denominator=2 ** 32) \
     .filter(lambda x: x not in (0, 1, 2, 3))
 
@@ -259,7 +277,7 @@ def test_recurrence_matches_extension_for_fixture_pairs(fixture_vectors):
     for qa, qb in product(fixture_vectors.values(), repeat=2):
         expected = oracle_strip(qa, qb, MAX_ORACLE_N)
         # Face-framed planar ends: r(2) = 0, so the quadratic is used.
-        assert len(_strip_modulus(*expected[1:4], CHAR_B1, CHAR_B2, TWO)) == 2
+        assert len(_strip_head(qa, qb)[1]) == 2
         for n in range(1, MAX_ORACLE_N + 1):
             assert family_polynomial(qa, qb, n) == expected[n - 1]
 
@@ -275,8 +293,7 @@ def test_value_at_matches_matrix_power_for_fixture_pairs(fixture_vectors, x):
 
 
 def test_non_planar_pair_takes_the_cubic():
-    xs = oracle_strip(NON_PLANAR, NON_PLANAR, 4)
-    assert len(_strip_modulus(*xs[1:4], CHAR_B1, CHAR_B2, TWO)) == 3
+    assert len(_strip_head(NON_PLANAR, NON_PLANAR)[1]) == 3
 
 
 @settings(max_examples=40, deadline=None)
