@@ -1,6 +1,13 @@
 """Real-root isolation near 4 (exact rational bisection with sign probes,
 Sturm certification) and a desk-scale multiprecision complex-root finder.
 
+Sturm counts divide out the integer roots 0, 1, 2, ... first (a chromatic
+polynomial vanishes exactly at 0..chi-1, an n-layer strip at 3 with
+multiplicity n) and count them directly, then build one Sturm chain of the
+rest; that chain's last member is the gcd with the derivative, so the
+squarefree part costs a second chain only when the rest has a repeated
+factor.
+
 The complex-root finder runs Aberth-Ehrlich simultaneous iteration on each
 squarefree factor in two stages of one iteration function: first in Python
 floats on the factor shifted to its root centroid, scaled to its root
@@ -206,7 +213,8 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p with repeated factors collapsed to multiplicity one."""
+    """p with repeated factors collapsed to multiplicity one (one gcd with
+    p'); the reference path that sturm_count is tested against."""
     if p.degree <= 0:
         return p
     g = poly_gcd(p, p.derivative())
@@ -265,19 +273,58 @@ def _sign_variations(seq: Sequence[IntPolynomial], at: Fraction) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
+def _deflate_small_integer_roots(p: IntPolynomial) -> Tuple[IntPolynomial, List[int]]:
+    """(r, ks): p with x - k divided out for k = 0, 1, 2, ... as long as
+    p(k) = 0, each as often as it divides, and the ks it vanished at.
+
+    One synthetic division by x - k yields the quotient and p(k) together.
+    A chromatic polynomial vanishes exactly at 0..chi-1, so r keeps none of
+    those roots; for any other polynomial this stops at its first k >= 0
+    with p(k) != 0 (at once when p(0) != 0).
+    """
+    cs = list(p.coefficients)
+    ks = []
+    k = 0
+    while len(cs) > 1:
+        quotient = [0] * (len(cs) - 1)
+        acc = 0
+        for i in range(len(cs) - 1, 0, -1):
+            acc = acc * k + cs[i]
+            quotient[i - 1] = acc
+        if acc * k + cs[0] == 0:
+            cs = quotient
+            if not ks or ks[-1] != k:
+                ks.append(k)
+        elif ks and ks[-1] == k:
+            k += 1
+        else:
+            break
+    return IntPolynomial(cs), ks
+
+
 def sturm_count(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in (lo, hi].
 
-    Repeated factors are divided out first, so multiple roots count once.
+    Multiple roots count once.  The integer roots 0, 1, 2, ... that p has
+    (every root 0..chi-1 of a chromatic polynomial, with all its
+    multiplicity; (x-3)^n in an n-layer strip) are divided out first and
+    counted directly.  One Sturm chain of the rest r follows; its last
+    member is gcd(r, r'), and only when that is not a constant is the chain
+    rebuilt on r / gcd(r, r'), the squarefree part.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
-    q = squarefree_part(p)
-    if q.degree <= 0:
+    if p.degree <= 0:
         return 0
-    seq = sturm_sequence(q)
-    return _sign_variations(seq, lo) - _sign_variations(seq, hi)
+    r, ks = _deflate_small_integer_roots(p)
+    count = sum(1 for k in ks if lo < k <= hi)
+    if r.degree <= 0:
+        return count
+    seq = sturm_sequence(r)
+    if seq[-1].degree > 0:
+        seq = sturm_sequence(seq[0].divide_exact(seq[-1]))
+    return count + _sign_variations(seq, lo) - _sign_variations(seq, hi)
 
 
 # ----------------------------------------------------------------------------

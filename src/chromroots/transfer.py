@@ -22,8 +22,8 @@ from typing import Sequence
 
 from .chromatic import (DEFAULT_NODE_BUDGET, PartitionVector,
                         partitioned_chromatic)
-from .exactnum import (FallingFactorialCombo, GOLDEN_RATIO, IntPolynomial,
-                       QuadExt, falling_factorial, falling_factorial_at)
+from .exactnum import (FallingFactorialCombo, IntPolynomial, QuadExt,
+                       falling_factorial, falling_factorial_at)
 from .graphs import ColouringType, FramedGraph
 
 #: Number of colours used on the frame by each colouring type.
@@ -311,17 +311,57 @@ class GoldenIdentityResult:
         return self.lhs - self.rhs
 
 
-def golden_identity_check(p: IntPolynomial, n_vertices: int) -> GoldenIdentityResult:
-    """Check P(tau+2) = (tau+2) * tau^(3n-10) * P(tau+1)^2 exactly in
-    Q(sqrt 5), with tau the golden ratio and n the vertex count.
+def _tau_mul(u: tuple, v: tuple) -> tuple:
+    """Product of a + b tau and c + d tau in Z[tau], with tau^2 = tau + 1."""
+    a, b = u
+    c, d = v
+    bd = b * d
+    return a * c + bd, a * d + b * c + bd
 
-    Holds for chromatic polynomials of planar triangulations; failure is a
-    result, not an error.
+
+def _tau_pow(e: int) -> tuple:
+    """tau^e in Z[tau] by square-and-multiply; tau^-1 = tau - 1."""
+    base = (0, 1) if e >= 0 else (-1, 1)
+    result = (1, 0)
+    e = abs(e)
+    while e:
+        if e & 1:
+            result = _tau_mul(result, base)
+        base = _tau_mul(base, base)
+        e >>= 1
+    return result
+
+
+def _value_at_tau_plus(p: IntPolynomial, k: int) -> tuple:
+    """p(tau + k) in Z[tau] by Horner's rule on integer pairs:
+    (a + b tau)(k + tau) = (a k + b) + (a + b (k + 1)) tau."""
+    a = b = 0
+    for c in reversed(p.coefficients):
+        a, b = a * k + b + c, a + b * (k + 1)
+    return a, b
+
+
+def _as_quadext(u: tuple) -> QuadExt:
+    """a + b tau as a + b/2 + (b/2) sqrt 5 in Q(sqrt 5)."""
+    a, b = u
+    return QuadExt(Fraction(2 * a + b, 2), Fraction(b, 2), 5)
+
+
+def golden_identity_check(p: IntPolynomial, n_vertices: int) -> GoldenIdentityResult:
+    """Check P(tau+2) = (tau+2) * tau^(3n-10) * P(tau+1)^2 exactly, with
+    tau the golden ratio and n the vertex count.
+
+    Both sides are computed and compared in Z[tau] (pairs of integers
+    a + b tau, tau^2 = tau + 1), which holds every value here since tau is
+    a unit; they become Q(sqrt 5) elements only for the result.  Holds for
+    chromatic polynomials of planar triangulations; failure is a result,
+    not an error.
     """
-    tau = GOLDEN_RATIO
-    lhs = p(tau + 2)
-    rhs = (tau + 2) * tau ** (3 * n_vertices - 10) * (p(tau + 1) ** 2)
-    return GoldenIdentityResult((lhs - rhs).is_zero(), lhs, rhs)
+    lhs = _value_at_tau_plus(p, 2)
+    at_one = _value_at_tau_plus(p, 1)
+    rhs = _tau_mul(_tau_mul((2, 1), _tau_pow(3 * n_vertices - 10)),
+                   _tau_mul(at_one, at_one))
+    return GoldenIdentityResult(lhs == rhs, _as_quadext(lhs), _as_quadext(rhs))
 
 
 # ----------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,17 @@ def test_poly_text_and_json(capsys):
     payload = json.loads(js)
     assert payload["coefficients"] == ["0", "14", "-31", "24", "-8", "1"]
     assert payload["vertices"] == 5
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-m", "chromroots", "poly", "W4"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == run_cli(capsys, "poly", "W4")[1]
 
 
 def test_json_output_deterministic(capsys):

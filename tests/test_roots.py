@@ -5,16 +5,20 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chromroots import roots
 from chromroots.chromatic import chromatic_polynomial
 from chromroots.exactnum import IntPolynomial
 from chromroots.graphs import cycle_graph, load_fixture
 from chromroots.roots import (MAX_DEGREE, NoSignChangeError, RootBracket,
-                              _split_coincident, bisect, bracket_near_four,
-                              complex_roots,
+                              _sign_variations, _split_coincident, bisect,
+                              bracket_near_four, complex_roots,
                               fraction_to_decimal, largest_root_near_four,
                               poly_gcd, squarefree_factors, squarefree_part,
-                              sturm_count)
+                              sturm_count, sturm_sequence)
+from chromroots.tables import BY_N_ROWS
 from chromroots.transfer import StripFamily
 
 
@@ -86,6 +90,91 @@ def test_sturm_randomised_linear_factors():
         mid = Fraction(2 * roots[0] + 1, 2)
         expected = sum(1 for r in roots if r > mid)
         assert sturm_count(p, mid, hi) == expected
+
+
+def oracle_sturm_chain(p):
+    """The Sturm chain without deflation: squarefree part, then its chain."""
+    return sturm_sequence(squarefree_part(p))
+
+
+def oracle_sturm_count(chain, lo, hi):
+    if chain[0].degree <= 0:
+        return 0
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+
+
+@st.composite
+def factored_polynomials(draw):
+    """(p, roots): integer linear factors with multiplicities, 0..3 among
+    them as in chromatic polynomials, times a random cofactor that may hold
+    a squared factor of its own."""
+    multiplicities = {k: draw(st.integers(0, 4)) for k in range(4)}
+    for k in draw(st.lists(st.integers(-5, 8), max_size=3)):
+        multiplicities[k] = multiplicities.get(k, 0) + draw(st.integers(1, 3))
+    p = IntPolynomial([1])
+    for k, m in multiplicities.items():
+        p = p * IntPolynomial([-k, 1]) ** m
+    cofactor = IntPolynomial(draw(st.lists(st.integers(-9, 9), max_size=5))
+                             + [draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))])
+    square = IntPolynomial(draw(st.lists(st.integers(-3, 3), max_size=3)) + [1])
+    p = p * cofactor * square ** draw(st.integers(0, 2))
+    return p, sorted(k for k, m in multiplicities.items() if m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_polynomials(), st.data())
+def test_sturm_count_matches_squarefree_oracle(case, data):
+    """Endpoints are drawn from the integer roots (simple or multiple) and
+    a few thirds."""
+    p, integer_roots = case
+    points = [Fraction(k) for k in integer_roots]
+    points += [Fraction(k, 3) for k in range(-20, 28, 5)]
+    lo = data.draw(st.sampled_from(points))
+    hi = data.draw(st.sampled_from([x for x in points if x > lo] or [lo + 1]))
+    assert sturm_count(p, lo, hi) == oracle_sturm_count(oracle_sturm_chain(p), lo, hi)
+
+
+def test_sturm_count_endpoints_on_simple_and_multiple_roots():
+    # Roots 0, 1 (double), 2 (triple), -1 and +-sqrt 2 (double each).
+    x = IntPolynomial([0, 1])
+    p = (x * IntPolynomial([-1, 1]) ** 2 * IntPolynomial([-2, 1]) ** 3
+         * IntPolynomial([1, 1]) * IntPolynomial([-2, 0, 1]) ** 2)
+    points = [Fraction(v) for v in (-2, -1, 0, 1, 2, 3)] + [Fraction(7, 5)]
+    chain = oracle_sturm_chain(p)
+    distinct = [-1.4142, -1, 0, 1, 1.4142, 2]
+    for lo in points:
+        for hi in points:
+            if lo < hi:
+                expected = sum(1 for r in distinct if lo < r <= hi)
+                assert sturm_count(p, lo, hi) == expected
+                assert oracle_sturm_count(chain, lo, hi) == expected
+
+
+def test_sturm_count_matches_oracle_on_table_rows(family_hw4):
+    for n in (m for m in BY_N_ROWS if m <= 40):
+        p = family_hw4.polynomial(n)
+        chain = oracle_sturm_chain(p)
+        lo = bracket_near_four(family_hw4, n).lo
+        for a, b in ((lo, Fraction(4)), (Fraction(0), Fraction(4)),
+                     (Fraction(2), Fraction(3))):
+            assert sturm_count(p, a, b) == oracle_sturm_count(chain, a, b), (n, a, b)
+
+
+def test_sturm_count_deflates_before_its_one_chain(family_hw4, monkeypatch):
+    """H,W4 at n=30 is x(x-1)(x-2)(x-3)^30 r with r squarefree of degree
+    100: no gcd and one chain on r, not a gcd and a chain on the degree-104
+    squarefree part."""
+    p = family_hw4.polynomial(30)
+    assert p.degree == 133
+    gcd_calls, chains = [], []
+    real_gcd, real_sequence = roots.poly_gcd, roots.sturm_sequence
+    monkeypatch.setattr(roots, "poly_gcd",
+                        lambda *a: gcd_calls.append(a) or real_gcd(*a))
+    monkeypatch.setattr(roots, "sturm_sequence",
+                        lambda q: chains.append(real_sequence(q)) or chains[-1])
+    assert sturm_count(p, Fraction(0), Fraction(4)) == 9
+    assert gcd_calls == []
+    assert [chain[0].degree for chain in chains] == [100]
 
 
 def test_poly_gcd_and_squarefree():

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from chromroots import transfer
 from chromroots.chromatic import PartitionVector, chromatic_polynomial
-from chromroots.exactnum import (FallingFactorialCombo, IntPolynomial,
-                                 falling_factorial, falling_factorial_at)
+from chromroots.exactnum import (GOLDEN_RATIO, FallingFactorialCombo,
+                                 IntPolynomial, QuadExt, falling_factorial,
+                                 falling_factorial_at)
 from chromroots.graphs import (Graph, cycle_graph, double_ended_strip,
                                framed_square, load_fixture, wheel4)
 from chromroots.transfer import (CHAR_B1, CHAR_B2, TYPE_COLOUR_COUNTS,
@@ -169,6 +170,49 @@ def test_golden_identity_strip(family_hw4):
     assert golden_identity_check(p, 21).passed
     # Wrong vertex count must fail.
     assert not golden_identity_check(p, 22).passed
+
+
+def golden_oracle(p, n_vertices):
+    """(passed, lhs, rhs) by Horner's rule in Q(sqrt 5) over fractions."""
+    tau = GOLDEN_RATIO
+    lhs = p(tau + 2) + QuadExt(0)   # an int 0 for the zero polynomial
+    rhs = (tau + 2) * tau ** (3 * n_vertices - 10) * (p(tau + 1) ** 2)
+    return lhs == rhs, lhs, rhs
+
+
+def assert_golden_matches_oracle(p, n_vertices):
+    res = golden_identity_check(p, n_vertices)
+    passed, lhs, rhs = golden_oracle(p, n_vertices)
+    assert res.passed == passed
+    assert (res.lhs.a, res.lhs.b, res.lhs.d) == (lhs.a, lhs.b, lhs.d)
+    assert (res.rhs.a, res.rhs.b, res.rhs.d) == (rhs.a, rhs.b, rhs.d)
+    return res
+
+
+def test_golden_check_matches_quadext_oracle_on_fixtures(fg_l, fg_neg10,
+                                                         family_hw4):
+    for m in range(1, 5):   # 3m - 10 < 0 for m = 1, 2, 3
+        complete = Graph(m, [(u, v) for u in range(m) for v in range(u + 1, m)])
+        assert_golden_matches_oracle(chromatic_polynomial(complete), m)
+    # C4 with its own vertex count is not a triangulation: a failing case.
+    assert not assert_golden_matches_oracle(
+        chromatic_polynomial(cycle_graph(4)), 4).passed
+    for fg in (wheel4(), fg_l, fg_neg10):
+        p = chromatic_polynomial(fg.graph)
+        for n_vertices in range(1, fg.graph.vertex_count + 2):
+            assert_golden_matches_oracle(p, n_vertices)
+    for n in range(1, 11):
+        vertices = 21 + 4 * (n - 2)
+        p = family_hw4.polynomial(n)
+        assert assert_golden_matches_oracle(p, vertices).passed
+        assert not assert_golden_matches_oracle(p, vertices + 1).passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12),
+       st.integers(1, 40))
+def test_golden_check_matches_quadext_oracle(coefficients, n_vertices):
+    assert_golden_matches_oracle(IntPolynomial(coefficients), n_vertices)
 
 
 def test_layer_counts_small_x():
