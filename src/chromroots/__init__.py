@@ -9,7 +9,7 @@ from .chromatic import (PartitionVector, ResourceLimitError,
                         chromatic_polynomial, count_colourings_oracle,
                         partitioned_chromatic)
 from .exactnum import (FallingFactorialCombo, IntPolynomial, QuadExt,
-                       falling_factorial, power_to_ff)
+                       falling_factorial)
 from .graphs import (AdjacentMergeError, ColouringType, FramedGraph, Graph,
                      diagonal_contraction, double_ended_strip, load_fixture,
                      parse_graph_text, wheel4)

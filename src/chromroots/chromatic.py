@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable
+from typing import Dict
 
 from .exactnum import IntPolynomial
 from .graphs import (ColouringType, FramedGraph, Graph, type_auxiliary_graph)
@@ -146,13 +146,12 @@ def _canonical_key(masks: tuple) -> tuple:
 
 
 class _Engine:
-    __slots__ = ("budget", "nodes", "cache", "cache_limit")
+    __slots__ = ("budget", "nodes", "cache")
 
-    def __init__(self, node_budget: int, cache: Dict | None, cache_limit: int):
+    def __init__(self, node_budget: int, cache: Dict | None):
         self.budget = node_budget
         self.nodes = 0
         self.cache = cache if cache is not None else {}
-        self.cache_limit = cache_limit
 
     def poly(self, masks: tuple) -> IntPolynomial:
         if not masks:
@@ -253,21 +252,20 @@ class _Engine:
             reduced = self.poly(_delete_edge(masks, v, u)) \
                 - self.poly(_contract_edge(masks, v, u))
 
-        if len(self.cache) < self.cache_limit:
+        if len(self.cache) < DEFAULT_CACHE_LIMIT:
             self.cache[key] = reduced
         return reduced
 
 
 def chromatic_polynomial(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET,
-                         cache: Dict | None = None,
-                         cache_limit: int = DEFAULT_CACHE_LIMIT) -> IntPolynomial:
+                         cache: Dict | None = None) -> IntPolynomial:
     """Exact chromatic polynomial of a simple graph.
 
     Raises ResourceLimitError if the recursion exceeds `node_budget` or
     the interpreter's recursion limit.  A shared `cache` dict may be passed
     in to amortise related runs.
     """
-    engine = _Engine(node_budget, cache, cache_limit)
+    engine = _Engine(node_budget, cache)
     try:
         return engine.poly(g.adjacency_masks())
     except RecursionError:
@@ -397,10 +395,6 @@ class PartitionVector:
 
     def to_json(self) -> list:
         return [p.to_decimal_strings() for p in self]
-
-    @classmethod
-    def from_json(cls, obj: Iterable) -> "PartitionVector":
-        return cls(*(IntPolynomial.from_decimal_strings(item) for item in obj))
 
 
 def partitioned_chromatic(fg: FramedGraph, *,

@@ -15,13 +15,12 @@ Subcommands:
 Graphs are given as file paths or bundled fixture names (W4, H, L, neg10).
 All outputs are deterministic for a fixed configuration.  Bad input (a
 malformed graph file, an option out of range) gives a one-line error on
-stderr and exit code 2.  The pointwise options are capped before any work
+stderr and exit code 2.  The size options are capped before any work
 starts: root4 --n <= MAX_POINTWISE_N, root4 --digits <= MAX_DIGITS,
-family --n <= --symbolic-limit <= MAX_SYMBOLIC_N, croots --bits <=
-MAX_BITS, croots --max-iter <= MAX_ITER, the croots strip's vertex
-count (its degree) <= roots.MAX_DEGREE, verify-golden --n and --max-n <=
-transfer.SYMBOLIC_LIMIT, reproduce-tables --max-n <= MAX_TABLE_N and
-reproduce-tables --jobs <= MAX_JOBS.  Every subcommand that runs the
+family --n <= MAX_SYMBOLIC_N, croots --bits <= MAX_BITS, croots
+--max-iter <= MAX_ITER, the croots strip's vertex count (its degree) <=
+roots.MAX_DEGREE, verify-golden --n and --max-n <= MAX_GOLDEN_N and
+reproduce-tables --max-n <= MAX_TABLE_N.  Every subcommand that runs the
 deletion-contraction engine (all but verify-M) takes --node-budget, at
 most MAX_NODE_BUDGET.
 """
@@ -30,17 +29,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .chromatic import (DEFAULT_NODE_BUDGET, PartitionVector,
-                        ResourceLimitError, chromatic_polynomial,
-                        partitioned_chromatic)
+from .chromatic import (DEFAULT_NODE_BUDGET, ResourceLimitError,
+                        chromatic_polynomial, partitioned_chromatic)
 from .graphs import FIXTURE_NAMES, FramedGraph, load_fixture, parse_graph_text
 from .roots import (MAX_DEGREE, NoSignChangeError, NonPositiveAtFourError,
                     RootConvergenceError, complex_roots, fraction_to_decimal,
@@ -49,7 +45,7 @@ from .spectral import classify_end_graph
 from .tables import (BY_N_ROWS, DOUBLING_ROWS, ROOT_TOLERANCE,
                      reference_partition_components, reference_roots_by_n,
                      reference_roots_doubling)
-from .transfer import (SYMBOLIC_LIMIT, StripFamily, golden_identity_check,
+from .transfer import (StripFamily, golden_identity_check,
                        verify_M_against_oracle)
 
 #: Caps on the pointwise options.  Every bundled table row fits: strip 513
@@ -59,21 +55,18 @@ MAX_DIGITS = 30
 MAX_BITS = 1024
 #: Cap on croots --max-iter: ten times the default of 400 sweeps.
 MAX_ITER = 4000
-#: Cap on family --n and --symbolic-limit.  The W4,W4 strip at n = 512
-#: (degree 2050) takes 2.4 s, 37 MB and 2 MB of JSON on a 2-core x86-64
-#: machine; n = 1024 takes 18.6 s and 69 MB (each doubling of n costs 4
-#: to 8 times the time).
+#: Cap on family --n.  The W4,W4 strip at n = 512 (degree 2050) takes
+#: 2.4 s, 37 MB and 2 MB of JSON on a 2-core x86-64 machine; n = 1024
+#: takes 18.6 s and 69 MB (each doubling of n costs 4 to 8 times the time).
 MAX_SYMBOLIC_N = 512
+#: Cap on verify-golden --n and --max-n.
+MAX_GOLDEN_N = 128
 #: Cap on --node-budget: ten times the default.  H needs 30,556 engine
 #: nodes and 2.3 s on a 2-core x86-64 machine (about 13,000 nodes/s), so
 #: the default budget stands for about 5 minutes of engine work and the cap
 #: for about 50.  Memory does not grow with the budget: the memo holds at
 #: most chromatic.DEFAULT_CACHE_LIMIT entries.
 MAX_NODE_BUDGET = 10 * DEFAULT_NODE_BUDGET
-#: Cap on reproduce-tables --jobs.  Each table gets its own pool and the
-#: larger one has 15 root rows, so a further worker would never get a row;
-#: the pool forks all its workers at once.
-MAX_JOBS = max(len(BY_N_ROWS), len(DOUBLING_ROWS))
 #: Cap on reproduce-tables --max-n: the largest row of either table.
 MAX_TABLE_N = max(BY_N_ROWS + DOUBLING_ROWS)
 
@@ -146,11 +139,10 @@ def cmd_qvec(args) -> int:
 
 
 def cmd_family(args) -> int:
-    _check_range("--symbolic-limit", args.symbolic_limit, 1, MAX_SYMBOLIC_N)
-    _check_range("--n", args.n, 1, args.symbolic_limit)
+    _check_range("--n", args.n, 1, MAX_SYMBOLIC_N)
     fam = StripFamily.from_framed(*_load_ends(args), f"{args.endA},{args.endB}",
                                   node_budget=args.node_budget)
-    p = fam.polynomial(args.n, symbolic_limit=args.symbolic_limit)
+    p = fam.polynomial(args.n)
     payload = {"endA": args.endA, "endB": args.endB, "n": args.n,
                "degree": p.degree, "coefficients": p.to_decimal_strings()}
     _emit(args, payload, f"X({fam.label})({args.n}): degree {p.degree}\n{p}\n")
@@ -213,9 +205,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_verify_golden(args) -> int:
-    _check_range("--n", args.n, 1, SYMBOLIC_LIMIT)
+    _check_range("--n", args.n, 1, MAX_GOLDEN_N)
     if args.max_n is not None:
-        _check_range("--max-n", args.max_n, 1, SYMBOLIC_LIMIT)
+        _check_range("--max-n", args.max_n, 1, MAX_GOLDEN_N)
     ends = _load_ends(args)
     fam = StripFamily.from_framed(*ends, f"{args.endA},{args.endB}",
                                   node_budget=args.node_budget)
@@ -258,7 +250,7 @@ def cmd_croots(args) -> int:
     _check_range("--n", args.n, 1, (MAX_DEGREE + 8 - size) // 4)
     fam = StripFamily.from_framed(*ends, f"{args.endA},{args.endB}",
                                   node_budget=args.node_budget)
-    p = fam.polynomial(args.n, symbolic_limit=max(args.n, 128))
+    p = fam.polynomial(args.n)
     rs = complex_roots(p, args.bits, max_iter=args.max_iter)
     lines = ["re,im"]
     import mpmath as mp
@@ -277,45 +269,22 @@ def cmd_croots(args) -> int:
 
 # -- table reproduction -------------------------------------------------------
 
-def _root_worker(task):
-    """Worker for one root row; reconstructs the family from JSON."""
-    qa_json, qb_json, n, digits = task
-    fam = StripFamily(PartitionVector.from_json(qa_json),
-                      PartitionVector.from_json(qb_json))
-    res = largest_root_near_four(fam, n, width=Fraction(1, 10 ** (digits + 1)),
-                                 digits=digits)
-    return n, res.decimal, res.midpoint
-
-
-def _reproduce_roots(fam: StripFamily, rows, reference, digits, offset, jobs):
-    tasks = [(fam.qa.to_json(), fam.qb.to_json(), n + offset, digits)
-             for n in rows]
-    results = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for n_fam, decimal, midpoint in pool.map(_root_worker, tasks):
-                results[n_fam - offset] = (decimal, midpoint)
-    else:
-        for task in tasks:
-            n_fam, decimal, midpoint = _root_worker(task)
-            results[n_fam - offset] = (decimal, midpoint)
+def _reproduce_roots(fam: StripFamily, rows, reference, digits, offset):
+    width = Fraction(1, 10 ** (digits + 1))
     checks = []
     for n in rows:
-        decimal, midpoint = results[n]
+        res = largest_root_near_four(fam, n + offset, width=width,
+                                     digits=digits)
         ref = reference[n]
-        ok = abs(midpoint - ref) <= ROOT_TOLERANCE
-        checks.append({"n": n, "computed": decimal,
+        checks.append({"n": n, "computed": res.decimal,
                        "reference": fraction_to_decimal(ref, digits),
-                       "ok": ok})
+                       "ok": abs(res.midpoint - ref) <= ROOT_TOLERANCE})
     return checks
 
 
 def cmd_reproduce_tables(args) -> int:
     _check_range("--max-n", args.max_n, 1, MAX_TABLE_N)
-    if args.jobs is not None:
-        _check_range("--jobs", args.jobs, 1, MAX_JOBS)
     which = args.only or "all"
-    jobs = args.jobs or min(4, os.cpu_count() or 1)
     report = {}
     all_ok = True
     t_start = time.time()
@@ -335,7 +304,7 @@ def cmd_reproduce_tables(args) -> int:
     if which in ("all", "table2"):
         rows = [n for n in BY_N_ROWS if n <= args.max_n]
         checks = _reproduce_roots(fam, rows, reference_roots_by_n(),
-                                  digits=10, offset=0, jobs=jobs)
+                                  digits=10, offset=0)
         ok = all(c["ok"] for c in checks)
         report["table2"] = {"passed": ok, "rows": checks}
         all_ok = all_ok and ok
@@ -346,7 +315,7 @@ def cmd_reproduce_tables(args) -> int:
     if which in ("all", "table3"):
         rows = [n for n in DOUBLING_ROWS if n <= args.max_n]
         checks = _reproduce_roots(fam, rows, reference_roots_doubling(),
-                                  digits=9, offset=1, jobs=jobs)
+                                  digits=9, offset=1)
         ok = all(c["ok"] for c in checks)
         report["table3"] = {"passed": ok, "rows": checks}
         all_ok = all_ok and ok
@@ -398,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endA", required=True)
     p.add_argument("--endB", required=True)
     p.add_argument("--n", type=int, required=True,
-                   help="strip length, at most --symbolic-limit")
-    p.add_argument("--symbolic-limit", type=int, default=128,
-                   help=f"largest symbolic strip, at most {MAX_SYMBOLIC_N}")
+                   help=f"strip length, at most {MAX_SYMBOLIC_N}")
     common(p)
     p.set_defaults(func=cmd_family)
 
@@ -429,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endA", default="H")
     p.add_argument("--endB", default="W4")
     p.add_argument("--n", type=int, default=2,
-                   help=f"strip length, at most {SYMBOLIC_LIMIT}")
+                   help=f"strip length, at most {MAX_GOLDEN_N}")
     p.add_argument("--max-n", type=int,
                    help="check all n up to this bound, at most "
-                        f"{SYMBOLIC_LIMIT}")
+                        f"{MAX_GOLDEN_N}")
     common(p)
     p.set_defaults(func=cmd_verify_golden)
 
@@ -458,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", choices=("table1", "table2", "table3"))
     p.add_argument("--max-n", type=int, default=MAX_TABLE_N,
                    help=f"largest table row to reproduce, at most {MAX_TABLE_N}")
-    p.add_argument("--jobs", type=int,
-                   help=f"worker processes (default <= 4, at most {MAX_JOBS})")
     p.add_argument("--report", help="write a JSON report to this path")
     node_budget(p)
     p.set_defaults(func=cmd_reproduce_tables)

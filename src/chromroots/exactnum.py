@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: integer polynomials, falling-factorial
-basis conversion, and real quadratic extension fields.
+"""Exact arithmetic substrate: integer polynomials, falling factorials and
+their integer combinations, and real quadratic extension fields.
 
 Everything here is exact.  Rationals are `fractions.Fraction`, integers are
 Python ints, and quadratic irrationals a + b*sqrt(d) carry their radicand
@@ -12,11 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
-
-#: Largest n for which Stirling-number rows are generated.  The transfer
-#: matrix only ever needs falling factorials up to ff_8 per layer; 64 leaves
-#: ample headroom for hand experiments.
-MAX_STIRLING = 64
 
 
 class InexactDivisionError(ArithmeticError):
@@ -283,68 +278,21 @@ class IntPolynomial:
 
 
 # ----------------------------------------------------------------------------
-# Stirling numbers and the falling-factorial basis
+# The falling-factorial basis
 # ----------------------------------------------------------------------------
 
-_stirling1_rows = [[1]]  # signed, s(n, k) = row n, index k
-_stirling2_rows = [[1]]  # S(n, k)
-
-
-def _extend_stirling(rows, n, kind: int) -> None:
-    while len(rows) <= n:
-        m = len(rows) - 1
-        prev = rows[-1]
-        new = [0] * (m + 2)
-        for k in range(m + 2):
-            left = prev[k - 1] if 1 <= k <= m + 1 else 0
-            mid = prev[k] if k <= m else 0
-            if kind == 1:
-                new[k] = left - m * mid
-            else:
-                new[k] = left + k * mid
-        rows.append(new)
-
-
-def stirling_first_signed(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind s(n, k)."""
-    if n > MAX_STIRLING:
-        raise ValueError(f"stirling row {n} exceeds supported bound {MAX_STIRLING}")
-    if k < 0 or k > n:
-        return 0
-    _extend_stirling(_stirling1_rows, n, 1)
-    return _stirling1_rows[n][k]
-
-
-def stirling_second(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k)."""
-    if n > MAX_STIRLING:
-        raise ValueError(f"stirling row {n} exceeds supported bound {MAX_STIRLING}")
-    if k < 0 or k > n:
-        return 0
-    _extend_stirling(_stirling2_rows, n, 2)
-    return _stirling2_rows[n][k]
-
-
-_ff_cache: dict = {}
+_ff_cache = [IntPolynomial((1,))]
 
 
 def falling_factorial(k: int) -> IntPolynomial:
-    """ff_k = x(x-1)...(x-k+1) as a power-basis polynomial (ff_0 = 1)."""
+    """ff_k = x(x-1)...(x-k+1) as a power-basis polynomial (ff_0 = 1),
+    built and cached as the product ff_(k-1) * (x - k + 1)."""
     if k < 0:
         raise ValueError("falling factorial index must be >= 0")
-    poly = _ff_cache.get(k)
-    if poly is None:
-        poly = IntPolynomial([stirling_first_signed(k, j) for j in range(k + 1)])
-        _ff_cache[k] = poly
-    return poly
-
-
-def falling_factorial_at(k: int, x: Fraction) -> Fraction:
-    """Exact value of ff_k at a rational point."""
-    acc = Fraction(1)
-    for i in range(k):
-        acc *= x - i
-    return acc
+    while len(_ff_cache) <= k:
+        j = len(_ff_cache)
+        _ff_cache.append(_ff_cache[-1] * IntPolynomial((1 - j, 1)))
+    return _ff_cache[k]
 
 
 class FallingFactorialCombo:
@@ -367,7 +315,7 @@ class FallingFactorialCombo:
         return dict(self._terms)
 
     def to_power(self) -> IntPolynomial:
-        """Expand into the power basis via signed Stirling numbers."""
+        """Expand into the power basis: sum_k mult_k * falling_factorial(k)."""
         acc = IntPolynomial(())
         for k, m in self._terms.items():
             acc = acc + falling_factorial(k) * m
@@ -378,30 +326,6 @@ class FallingFactorialCombo:
 
     def __repr__(self) -> str:
         return f"FallingFactorialCombo({self._terms!r})"
-
-    # JSON object {"k": multiplicity}
-    def to_json_dict(self) -> dict:
-        return {str(k): m for k, m in self._terms.items()}
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping[str, int]) -> "FallingFactorialCombo":
-        return cls({int(k): int(m) for k, m in obj.items()})
-
-
-def power_to_ff(p: IntPolynomial) -> FallingFactorialCombo:
-    """Rewrite a power-basis polynomial in the falling-factorial basis.
-
-    Uses x^n = sum_k S(n, k) ff_k; exact inverse of FallingFactorialCombo.to_power.
-    """
-    terms: dict = {}
-    for n, c in enumerate(p.coefficients):
-        if not c:
-            continue
-        for k in range(n + 1):
-            s = stirling_second(n, k)
-            if s:
-                terms[k] = terms.get(k, 0) + c * s
-    return FallingFactorialCombo(terms)
 
 
 # ----------------------------------------------------------------------------

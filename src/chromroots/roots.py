@@ -73,11 +73,10 @@ class RootBracket:
         return (self.lo + self.hi) / 2
 
 
-def bracket_near_four(family: StripFamily, n: int, *,
-                      max_k: int = BRACKET_MAX_K) -> RootBracket:
+def bracket_near_four(family: StripFamily, n: int) -> RootBracket:
     """Bracket the largest sign change of the strip polynomial below 4.
 
-    Probes x = 4 - 2^-k for k = 1..max_k (plus x = 4 itself, which must be
+    Probes x = 4 - 2^-k for k = 1..BRACKET_MAX_K (plus x = 4 itself, which must be
     positive) and pairs the negative probe closest to 4 with the next
     positive point above it.  All probes are exact rational signs.
     """
@@ -86,13 +85,13 @@ def bracket_near_four(family: StripFamily, n: int, *,
         raise NonPositiveAtFourError(
             f"family value at 4 has sign {sign_at_four}; expected positive")
     signs = {}
-    for k in range(1, max_k + 1):
+    for k in range(1, BRACKET_MAX_K + 1):
         x = Fraction(4) - Fraction(1, 2 ** k)
         signs[k] = family.sign_at(n, x)
     negative_ks = [k for k, s in signs.items() if s < 0]
     if not negative_ks:
         raise NoSignChangeError(
-            f"no negative probe down to 4 - 2^-{max_k}; "
+            f"no negative probe down to 4 - 2^-{BRACKET_MAX_K}; "
             "the family may have no real root that close to 4")
     k = max(negative_ks)
     lo = Fraction(4) - Fraction(1, 2 ** k)
@@ -502,9 +501,7 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256, *,
     for factor, mult in squarefree_factors(p):
         cs = factor.coefficients
         bound = Fraction(2 + max(map(abs, cs[:-1])) // abs(cs[-1]))
-        # The factor is squarefree already, so its Sturm chain is direct.
-        seq = sturm_sequence(factor)
-        real_count = _sign_variations(seq, -bound) - _sign_variations(seq, bound)
+        real_count = sturm_count(factor, -bound, bound)
         seeds = _seeds(factor, max_iter)
         for attempt, prec in enumerate((precision_bits, 2 * precision_bits)):
             try:

@@ -23,7 +23,7 @@ from typing import Sequence
 from .chromatic import (DEFAULT_NODE_BUDGET, PartitionVector,
                         partitioned_chromatic)
 from .exactnum import (FallingFactorialCombo, IntPolynomial, QuadExt,
-                       falling_factorial, falling_factorial_at)
+                       falling_factorial)
 from .graphs import ColouringType, FramedGraph
 
 #: Number of colours used on the frame by each colouring type.
@@ -33,11 +33,6 @@ TYPE_COLOUR_COUNTS = tuple(t.frame_colours for t in ColouringType)
 #: factor, whose roots are the eigenvalues lambda2 and lambda3 of MD(x).
 CHAR_B1 = IntPolynomial((-144, 147, -60, 12, -1))
 CHAR_B2 = IntPolynomial((540, -1350, 1368, -722, 210, -32, 2))
-
-#: Default cap on strip length for symbolic family polynomials; longer
-#: strips are served pointwise by family_value_at.
-SYMBOLIC_LIMIT = 128
-
 
 @dataclass(frozen=True)
 class TransferMatrix:
@@ -117,7 +112,7 @@ def gluing_weights() -> tuple:
 
 def gluing_weight_values(x: Fraction) -> tuple:
     """Diagonal of D at a rational x: the values of (ff2, ff3, ff3, ff4)."""
-    return tuple(falling_factorial_at(s, x) for s in TYPE_COLOUR_COUNTS)
+    return tuple(w.eval_fraction(x) for w in gluing_weights())
 
 
 @lru_cache(maxsize=None)
@@ -186,8 +181,8 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     return xs, low
 
 
-def family_polynomial(qa: PartitionVector, qb: PartitionVector, n: int, *,
-                      symbolic_limit: int = SYMBOLIC_LIMIT) -> IntPolynomial:
+def family_polynomial(qa: PartitionVector, qb: PartitionVector,
+                      n: int) -> IntPolynomial:
     """Exact chromatic polynomial of the n-layer strip with end graphs A
     and B: the scalar X(n) = Q(A)^T D (MD)^(n-1) Q(B).
 
@@ -196,10 +191,6 @@ def family_polynomial(qa: PartitionVector, qb: PartitionVector, n: int, *,
     """
     if n < 1:
         raise ValueError("strip length must be >= 1")
-    if n > symbolic_limit:
-        raise ValueError(
-            f"n={n} exceeds the symbolic limit {symbolic_limit}; "
-            "use family_value_at for pointwise values")
     xs, low = _strip_head(qa, qb)
     if n <= 4:
         return xs[n - 1]
@@ -287,8 +278,8 @@ class StripFamily:
         return cls(partitioned_chromatic(a, node_budget=node_budget),
                    partitioned_chromatic(b, node_budget=node_budget), label)
 
-    def polynomial(self, n: int, **kw) -> IntPolynomial:
-        return family_polynomial(self.qa, self.qb, n, **kw)
+    def polynomial(self, n: int) -> IntPolynomial:
+        return family_polynomial(self.qa, self.qb, n)
 
     def sign_at(self, n: int, x: Fraction) -> int:
         return family_sign_at(self.qa, self.qb, n, x)

@@ -1,17 +1,18 @@
 """Deletion-contraction engine, brute-force oracle, partitioned chromatic
 polynomials."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromroots.chromatic import (DEFAULT_CACHE_LIMIT, DEFAULT_NODE_BUDGET,
-                                  PartitionVector, ResourceLimitError, _Engine,
-                                  _canonical_key, chromatic_polynomial,
-                                  count_colourings_by_type,
+from chromroots.chromatic import (DEFAULT_NODE_BUDGET, PartitionVector,
+                                  ResourceLimitError, _Engine, _canonical_key,
+                                  chromatic_polynomial, count_colourings_by_type,
                                   count_colourings_oracle, partitioned_chromatic)
+from chromroots.cli import main
 from chromroots.exactnum import IntPolynomial, falling_factorial
 from chromroots.graphs import (ColouringType, FramedGraph, Graph, cycle_graph,
                                double_ended_strip, load_fixture,
@@ -91,7 +92,7 @@ def test_engine_counters(fixture, entries, nodes):
         if aux is None:
             parts.append(IntPolynomial.zero())
             continue
-        engine = _Engine(DEFAULT_NODE_BUDGET, cache, DEFAULT_CACHE_LIMIT)
+        engine = _Engine(DEFAULT_NODE_BUDGET, cache)
         parts.append(engine.poly(aux.adjacency_masks()))
         visited += engine.nodes
     assert (len(cache), visited) == (entries, nodes)
@@ -221,8 +222,12 @@ def test_typed_oracle_sums_to_oracle(fixture):
         assert sum(counts.values()) == count_colourings_oracle(fg.graph, x)
 
 
-def test_partition_vector_json_roundtrip(q_w4):
-    assert PartitionVector.from_json(q_w4.to_json()) == q_w4
+def test_partition_vector_json_roundtrip(q_w4, capsys):
+    # The components that `qvec --format json` prints decode to the vector.
+    assert main(["qvec", "W4", "--format", "json"]) == 0
+    components = json.loads(capsys.readouterr().out)["components"]
+    assert PartitionVector(*map(IntPolynomial.from_decimal_strings,
+                                components)) == q_w4
 
 
 def test_partitioned_frame_symmetries(q_neg10, fg_neg10):

@@ -2,6 +2,7 @@
 codes."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from chromroots import cli
-from chromroots.cli import (MAX_BITS, MAX_DIGITS, MAX_ITER, MAX_JOBS,
+from chromroots.cli import (MAX_BITS, MAX_DIGITS, MAX_GOLDEN_N, MAX_ITER,
                             MAX_NODE_BUDGET, MAX_POINTWISE_N, MAX_SYMBOLIC_N,
                             MAX_TABLE_N, main)
 from chromroots.roots import MAX_DEGREE
-from chromroots.tables import BY_N_ROWS, DOUBLING_ROWS
-from chromroots.transfer import SYMBOLIC_LIMIT, StripFamily
+from chromroots.tables import DOUBLING_ROWS
+from chromroots.transfer import StripFamily
 
 
 def run_cli(capsys, *argv):
@@ -126,15 +127,11 @@ def test_family_caps_before_building_the_strip(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(StripFamily, "from_framed",
                         lambda *ends, **kw: built.append(ends))
-    too_big = str(MAX_SYMBOLIC_N + 1)
-    for argv in (("--n", too_big, "--symbolic-limit", too_big),
-                 ("--n", "5", "--symbolic-limit", too_big),
-                 ("--n", "5", "--symbolic-limit", "0"),
-                 ("--n", too_big),
-                 ("--n", "200")):
+    for n in ("0", "-1", str(MAX_SYMBOLIC_N + 1), "100000"):
         _assert_one_line_error(capsys, "family", "--endA", "W4",
-                               "--endB", "W4", *argv)
+                               "--endB", "W4", "--n", n)
     assert built == []
+    assert MAX_SYMBOLIC_N == 512
 
 
 def test_node_budget_range_before_any_engine_work(capsys, monkeypatch):
@@ -157,22 +154,11 @@ def test_max_n_range_before_any_engine_work(capsys, monkeypatch):
 def test_verify_golden_range_before_building_the_strip(capsys, monkeypatch):
     monkeypatch.setattr(StripFamily, "from_framed",
                         lambda *ends, **kw: pytest.fail("strip built"))
-    for argv in (("--n", "0"), ("--n", str(SYMBOLIC_LIMIT + 1)),
+    for argv in (("--n", "0"), ("--n", str(MAX_GOLDEN_N + 1)),
                  ("--n", "200"), ("--max-n", "-2"), ("--max-n", "0"),
-                 ("--max-n", str(SYMBOLIC_LIMIT + 1))):
+                 ("--max-n", str(MAX_GOLDEN_N + 1))):
         _assert_one_line_error(capsys, "verify-golden", "--endA", "W4",
                                "--endB", "W4", *argv)
-
-
-def test_jobs_cap_before_any_pool(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
-                        lambda *a, **kw: pytest.fail("pool created"))
-    monkeypatch.setattr(cli, "partitioned_chromatic",
-                        lambda *a, **kw: pytest.fail("engine ran"))
-    for jobs in ("0", "-1", str(MAX_JOBS + 1), "100000"):
-        _assert_one_line_error(capsys, "reproduce-tables", "--jobs", jobs)
-    # A further worker would never get a row.
-    assert MAX_JOBS == max(len(BY_N_ROWS), len(DOUBLING_ROWS))
 
 
 def test_croots_that_does_not_converge_gives_one_line(capsys):
@@ -203,6 +189,9 @@ def test_node_budget_applies_wherever_the_engine_runs(capsys, argv):
     ("verify-M", "--node-budget", "10"),
     ("croots", "--format", "json"),
     ("reproduce-tables", "--format", "json"),
+    pytest.param(("reproduce-tables", "--jobs", "1"), id="reproduce-tables-jobs"),
+    pytest.param(("family", "--endA", "H", "--endB", "W4", "--n", "2",
+                  "--symbolic-limit", "128"), id="family-symbolic-limit"),
 ], ids=lambda argv: argv[0])
 def test_options_no_handler_reads_are_not_offered(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -301,8 +290,14 @@ def test_reproduce_table1(capsys, tmp_path):
     assert payload["passed"] is True
 
 
-def test_reproduce_table2_subset(capsys):
+def test_reproduce_table2_subset(capsys, monkeypatch):
+    # The rows are isolated in this process: no fork, no worker process.
+    def no_process(*args, **kwargs):
+        pytest.fail("process started")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(multiprocessing.Process, "start", no_process)
     code, out = run_cli(capsys, "reproduce-tables", "--only", "table2",
-                        "--max-n", "3", "--jobs", "1")
+                        "--max-n", "3")
     assert code == 0
     assert "table2 n=3: 3.8483432574 ref 3.8483432574 pass" in out

@@ -13,16 +13,15 @@ from hypothesis import strategies as st
 from chromroots.exactnum import (FallingFactorialCombo, GOLDEN_RATIO,
                                  InexactDivisionError, IntPolynomial,
                                  MixedRadicandError, QuadExt, falling_factorial,
-                                 falling_factorial_at, power_to_ff,
-                                 sqrt_rational, stirling_first_signed,
-                                 stirling_second)
+                                 sqrt_rational)
 
 
 def test_ff_small_cases():
     assert FallingFactorialCombo({2: 1}).to_power() == IntPolynomial([0, -1, 1])
     assert FallingFactorialCombo({0: 1}).to_power() == IntPolynomial([1])
-    assert power_to_ff(IntPolynomial([0, 0, 0, 1])).terms == {1: 1, 2: 3, 3: 1}
-    assert power_to_ff(IntPolynomial([0, -1, 1])).terms == {2: 1}
+    # x^3 = ff1 + 3 ff2 + ff3.
+    assert (FallingFactorialCombo({1: 1, 2: 3, 3: 1}).to_power()
+            == IntPolynomial([0, 0, 0, 1]))
 
 
 def test_ff_corner_entry_expansion():
@@ -43,16 +42,18 @@ def test_wheel_partition_sum_in_ff_basis():
     # ff3 + 2 ff4 + ff5 is the chromatic polynomial of the 4-wheel.
     total = FallingFactorialCombo({3: 1, 4: 2, 5: 1}).to_power()
     assert total == IntPolynomial([0, 14, -31, 24, -8, 1])
-    assert power_to_ff(total).terms == {3: 1, 4: 2, 5: 1}
 
 
 def test_ff_roundtrip_randomised():
+    # ff_k(x) = x! / (x - k)! = perm(x, k) at every integer x >= 0.
     rng = random.Random(20240811)
     for _ in range(300):
-        degree = rng.randint(0, 12)
-        p = IntPolynomial([rng.randint(-10 ** 6, 10 ** 6)
-                           for _ in range(degree + 1)])
-        assert power_to_ff(p).to_power() == p
+        combo = FallingFactorialCombo({k: rng.randint(-10 ** 6, 10 ** 6)
+                                       for k in range(rng.randint(0, 12) + 1)})
+        p = combo.to_power()
+        for x in range(16):
+            assert p(x) == sum(m * math.perm(x, k)
+                               for k, m in combo.terms.items())
 
 
 def test_ff_vanishes_below_index():
@@ -61,14 +62,7 @@ def test_ff_vanishes_below_index():
         for j in range(k):
             assert p(j) == 0
         assert p(k) == math.factorial(k)
-        assert falling_factorial_at(k, Fraction(k)) == math.factorial(k)
-
-
-def test_stirling_rows():
-    assert stirling_first_signed(4, 2) == 11
-    assert stirling_second(4, 2) == 7
-    with pytest.raises(ValueError):
-        stirling_first_signed(65, 1)
+        assert falling_factorial(k).eval_fraction(Fraction(k)) == math.factorial(k)
 
 
 def test_polynomial_arithmetic_and_division():
@@ -106,8 +100,6 @@ def test_taylor_shift_against_eval_fraction(coefficients, c, x):
 def test_polynomial_serialization_roundtrip():
     p = IntPolynomial([-124884, 258889, 0, 1])
     assert IntPolynomial.from_decimal_strings(p.to_decimal_strings()) == p
-    combo = FallingFactorialCombo({3: 1, 5: -2})
-    assert FallingFactorialCombo.from_json_dict(combo.to_json_dict()) == combo
 
 
 def test_quad_sign_cases():

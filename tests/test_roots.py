@@ -191,7 +191,7 @@ def test_poly_gcd_and_squarefree():
 def test_bracket_near_four_same_class_fails(q_w4):
     fam = StripFamily(q_w4, q_w4, "W4,W4")
     with pytest.raises(NoSignChangeError):
-        bracket_near_four(fam, 3, max_k=20)
+        bracket_near_four(fam, 3)
 
 
 def test_bracket_near_four_contains_table_root(family_hw4):
