@@ -8,8 +8,7 @@ __version__ = "0.1.0"
 from .chromatic import (PartitionVector, ResourceLimitError,
                         chromatic_polynomial, count_colourings_oracle,
                         partitioned_chromatic)
-from .exactnum import (FallingFactorialCombo, IntPolynomial, QuadExt,
-                       falling_factorial)
+from .exactnum import IntPolynomial, QuadExt, falling_factorial
 from .graphs import (AdjacentMergeError, ColouringType, FramedGraph, Graph,
                      diagonal_contraction, double_ended_strip, load_fixture,
                      parse_graph_text, wheel4)

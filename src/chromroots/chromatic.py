@@ -13,10 +13,15 @@ is refined by the multiset of its neighbours' colours, encoded exactly as
 one integer, until the number of classes stops growing.  The key is the
 tuple of adjacency masks relabelled in (class, label) order.  Equal keys
 always mean isomorphic graphs, so the cache is sound.
+
+The oracle enumerates the partitions of the vertices into independent sets
+(colourings up to a permutation of the colours) and counts x-colourings as
+sum_k a_k x(x-1)...(x-k+1), with a_k the number of partitions into k sets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -300,13 +305,20 @@ def _oracle_order(g: Graph) -> list:
 
 
 def _walk_colourings(g: Graph, order: list, x: int, step_budget: int,
-                     typed: bool) -> int | Dict[ColouringType, int]:
-    """Proper x-colourings of g by exhaustive backtracking along `order`.
+                     frames: int = 0) -> Dict[tuple, int]:
+    """Proper colourings of g with at most x colours, up to a permutation
+    of the colours, by exhaustive backtracking along `order`.
+
+    Each vertex takes a colour that is already used or, while fewer than x
+    are used, the next unused one, so every partition of the vertices into
+    at most x independent sets (colour classes) is visited once.  Returns
+    the number of partitions keyed by the ColouringTypes of the first
+    `frames` blocks of four vertices of `order`, followed by k, the number
+    of classes.  A partition into k classes stands for x(x-1)...(x-k+1)
+    colourings (Read's expansion P(G, x) = sum_k a_k(G) ff_k(x)).
 
     Independent of the polynomial engine.  Enforces the documented bounds
-    (x <= 12, vertex_count <= 12) and a step budget.  Returns the count,
-    or with `typed` the counts keyed by the ColouringType of the colours on
-    the first four vertices of `order`.
+    (x <= 12, vertex_count <= 12) and a step budget on the search nodes.
     """
     if x < 0:
         raise ValueError("colour count must be >= 0")
@@ -320,51 +332,51 @@ def _walk_colourings(g: Graph, order: list, x: int, step_budget: int,
     pos = {v: i for i, v in enumerate(order)}
     pred = [[pos[u] for u in _bits(masks[v]) if pos[u] < i]
             for i, v in enumerate(order)]
-    palette = (1 << x) - 1
     assigned = [0] * n
-    counts = dict.fromkeys(ColouringType, 0) if typed else {}
+    counts: Dict[tuple, int] = {}
     steps = 0
 
-    def walk(depth: int) -> int:
+    def walk(depth: int, used: int) -> None:
         nonlocal steps
         if depth == n:
-            return 1
+            key = tuple(ColouringType.classify(*assigned[4 * f:4 * f + 4])
+                        for f in range(frames)) + (used,)
+            counts[key] = counts.get(key, 0) + 1
+            return
         steps += 1
         if steps > step_budget:
             raise ResourceLimitError("oracle step budget exceeded")
         forbidden = 0
         for j in pred[depth]:
             forbidden |= 1 << assigned[j]
-        total_here = 0
-        m = palette & ~forbidden
-        while m:
-            cbit = m & -m
-            m ^= cbit
-            assigned[depth] = cbit.bit_length() - 1
-            if typed and depth == 3:
-                counts[ColouringType.classify(*assigned[:4])] += walk(depth + 1)
-            else:
-                total_here += walk(depth + 1)
-        return total_here
+        for c in range(min(used + 1, x)):
+            if not forbidden >> c & 1:
+                assigned[depth] = c
+                walk(depth + 1, max(used, c + 1))
 
-    total = walk(0)
-    return counts if typed else total
+    walk(0, 0)
+    return counts
 
 
 def count_colourings_oracle(g: Graph, x: int, *,
                             step_budget: int = DEFAULT_ORACLE_BUDGET) -> int:
     """Number of proper x-colourings by exhaustive backtracking (see
     _walk_colourings for the bounds)."""
-    return _walk_colourings(g, _oracle_order(g), x, step_budget, False)
+    walked = _walk_colourings(g, _oracle_order(g), x, step_budget)
+    return sum(count * math.perm(x, k) for (k,), count in walked.items())
 
 
 def count_colourings_by_type(fg: FramedGraph, x: int, *,
                              step_budget: int = DEFAULT_ORACLE_BUDGET) -> Dict[ColouringType, int]:
     """Brute-force proper-colouring counts split by frame colour pattern."""
-    # Put the frame first so each colouring classifies at depth 4.
+    # The frame goes first: it is the one block of four that gets typed.
     order = list(fg.frame) + [v for v in range(fg.graph.vertex_count)
                               if v not in fg.frame]
-    return _walk_colourings(fg.graph, order, x, step_budget, True)
+    counts = dict.fromkeys(ColouringType, 0)
+    for (ctype, k), count in _walk_colourings(fg.graph, order, x, step_budget,
+                                              frames=1).items():
+        counts[ctype] += count * math.perm(x, k)
+    return counts
 
 
 # ----------------------------------------------------------------------------

@@ -14,15 +14,15 @@ Subcommands:
 
 Graphs are given as file paths or bundled fixture names (W4, H, L, neg10).
 All outputs are deterministic for a fixed configuration.  Bad input (a
-malformed graph file, an option out of range) gives a one-line error on
-stderr and exit code 2.  The size options are capped before any work
-starts: root4 --n <= MAX_POINTWISE_N, root4 --digits <= MAX_DIGITS,
-family --n <= MAX_SYMBOLIC_N, croots --bits <= MAX_BITS, croots
---max-iter <= MAX_ITER, the croots strip's vertex count (its degree) <=
-roots.MAX_DEGREE, verify-golden --n and --max-n <= MAX_GOLDEN_N and
-reproduce-tables --max-n <= MAX_TABLE_N.  Every subcommand that runs the
-deletion-contraction engine (all but verify-M) takes --node-budget, at
-most MAX_NODE_BUDGET.
+malformed graph file, an option out of range, a path that cannot be read
+or written) gives a one-line error on stderr and exit code 2.  The size
+options are capped before any work starts: root4 --n <= MAX_POINTWISE_N,
+root4 --digits <= MAX_DIGITS, family --n <= MAX_SYMBOLIC_N, croots
+--bits <= MAX_BITS, croots --max-iter <= MAX_ITER, the croots strip's
+vertex count (its degree) <= roots.MAX_DEGREE, verify-golden --n and
+--max-n <= MAX_GOLDEN_N and reproduce-tables --max-n <= MAX_TABLE_N.
+Every subcommand that runs the deletion-contraction engine (all but
+verify-M) takes --node-budget, at most MAX_NODE_BUDGET.
 """
 
 from __future__ import annotations
@@ -444,7 +444,7 @@ def main(argv=None) -> int:
     except RootConvergenceError as exc:
         sys.stderr.write(f"no convergence: {exc}\n")
         return 1
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -250,10 +250,6 @@ class IntPolynomial:
     def to_decimal_strings(self) -> list:
         return [str(c) for c in self._c]
 
-    @classmethod
-    def from_decimal_strings(cls, items: Iterable[str]) -> "IntPolynomial":
-        return cls(int(s) for s in items)
-
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self._c)!r})"
 
@@ -295,37 +291,11 @@ def falling_factorial(k: int) -> IntPolynomial:
     return _ff_cache[k]
 
 
-class FallingFactorialCombo:
-    """Integer combination sum_k mult_k * ff_k of falling factorials."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, int] = ()):
-        clean = {}
-        for k, m in dict(terms).items():
-            k, m = int(k), int(m)
-            if k < 0:
-                raise ValueError("falling factorial index must be >= 0")
-            if m:
-                clean[k] = m
-        self._terms = dict(sorted(clean.items()))
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def to_power(self) -> IntPolynomial:
-        """Expand into the power basis: sum_k mult_k * falling_factorial(k)."""
-        acc = IntPolynomial(())
-        for k, m in self._terms.items():
-            acc = acc + falling_factorial(k) * m
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FallingFactorialCombo) and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        return f"FallingFactorialCombo({self._terms!r})"
+def falling_factorial_sum(terms: Mapping[int, int]) -> IntPolynomial:
+    """The integer combination sum_k m_k * ff_k of a mapping {k: m_k},
+    expanded into the power basis."""
+    return sum((falling_factorial(k) * m for k, m in terms.items()),
+               IntPolynomial(()))
 
 
 # ----------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The width-4 cylindrical transfer matrix: the layer-count matrix M, the
 diagonal gluing weight D, the transfer matrix MD, gluing of partitioned
 chromatic polynomials, strip-family polynomials and their pointwise exact
-evaluation, a brute-force oracle for M, and the golden-ratio identity check
-for planar triangulations.
+evaluation, a check of M against the brute-force colouring oracle (the
+colour-class partitions of one layer, summed in the falling-factorial
+basis), and the golden-ratio identity check for planar triangulations.
 
 Strip families are computed from the recurrence that the characteristic
 polynomial det(tI - MD) = t (t - 2) (t^2 + CHAR_B1 t + CHAR_B2) gives by
@@ -20,11 +21,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .chromatic import (DEFAULT_NODE_BUDGET, PartitionVector,
+from .chromatic import (DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_BUDGET,
+                        PartitionVector, _walk_colourings,
                         partitioned_chromatic)
-from .exactnum import (FallingFactorialCombo, IntPolynomial, QuadExt,
-                       falling_factorial)
-from .graphs import ColouringType, FramedGraph
+from .exactnum import (IntPolynomial, QuadExt, falling_factorial,
+                       falling_factorial_sum)
+from .graphs import ColouringType, FramedGraph, layer_gadget
 
 #: Number of colours used on the frame by each colouring type.
 TYPE_COLOUR_COUNTS = tuple(t.frame_colours for t in ColouringType)
@@ -99,8 +101,7 @@ _M_FF = (
 @lru_cache(maxsize=None)
 def build_M() -> TransferMatrix:
     """The 4x4 layer-count matrix M, expanded into the power basis."""
-    rows = tuple(tuple(FallingFactorialCombo(c).to_power() for c in row)
-                 for row in _M_FF)
+    rows = tuple(tuple(falling_factorial_sum(c) for c in row) for row in _M_FF)
     return TransferMatrix(rows, "M")
 
 
@@ -361,11 +362,11 @@ def golden_identity_check(p: IntPolynomial, n_vertices: int) -> GoldenIdentityRe
 
 @dataclass(frozen=True)
 class MOracleReport:
-    """Per-entry outcome of checking M against exhaustive layer counts."""
+    """Per-entry outcome of checking M against the colour-class partitions
+    of one lattice layer."""
 
     entry_ok: dict            # (i, j) -> bool
-    counts: dict              # x -> 4x4 list of exhaustive counts
-    interpolated: dict        # (i, j) -> IntPolynomial from the counts
+    partitions: tuple         # 4x4 grid of {s: partitions into s classes}
 
     @property
     def passed(self) -> bool:
@@ -375,77 +376,22 @@ class MOracleReport:
         return sorted(k for k, ok in self.entry_ok.items() if not ok)
 
 
-def _type_codes(cols) -> "object":
-    import numpy as np
-    eq13 = cols[:, 0] == cols[:, 2]
-    eq24 = cols[:, 1] == cols[:, 3]
-    return np.where(eq13, np.where(eq24, 0, 1), np.where(eq24, 2, 3))
+def verify_M_against_oracle() -> MOracleReport:
+    """Check every entry of M against the brute-force oracle.
 
-
-def _proper_ring_colourings(x: int):
-    import numpy as np
-    grids = np.indices((x, x, x, x)).reshape(4, -1).T
-    ok = ((grids[:, 0] != grids[:, 1]) & (grids[:, 1] != grids[:, 2])
-          & (grids[:, 2] != grids[:, 3]) & (grids[:, 3] != grids[:, 0]))
-    return grids[ok]
-
-
-def layer_type_counts(x: int) -> list:
-    """Exhaustive 4x4 table: colourings of one lattice layer by (outer type,
-    inner type).  Enumerates all proper colouring pairs of the two rings and
-    checks the eight spoke constraints; exact integer counts."""
-    import numpy as np
-    ring = _proper_ring_colourings(x)
-    types = _type_codes(ring)
-    counts = [[0] * 4 for _ in range(4)]
-    if len(ring) == 0:
-        return counts
-    inner = ring
-    for outer_row, outer_t in zip(ring, types):
-        o0, o1, o2, o3 = (int(c) for c in outer_row)
-        # Spokes: inner j is adjacent to outer j and outer j+1 (mod 4).
-        mask = ((inner[:, 0] != o0) & (inner[:, 0] != o1)
-                & (inner[:, 1] != o1) & (inner[:, 1] != o2)
-                & (inner[:, 2] != o2) & (inner[:, 2] != o3)
-                & (inner[:, 3] != o3) & (inner[:, 3] != o0))
-        binned = np.bincount(types[mask], minlength=4)
-        row = counts[int(outer_t)]
-        for j in range(4):
-            row[j] += int(binned[j])
-    return counts
-
-
-def _interpolate_ff(values: dict) -> IntPolynomial:
-    """Exact polynomial through (x, value) for x = 1..k, solved in the
-    falling-factorial basis (triangular because ff_s(x) = 0 for s > x)."""
-    xs = sorted(values)
-    coeffs = {}
-    for x in xs:
-        acc = values[x]
-        for s, c in coeffs.items():
-            acc -= c * falling_factorial(s)(x)
-        ffx = falling_factorial(x)(x)  # = x!
-        if acc % ffx:
-            raise ArithmeticError("interpolation values are not polynomial "
-                                  "in the falling-factorial basis")
-        c = acc // ffx
-        if c:
-            coeffs[x] = c
-    return FallingFactorialCombo(coeffs).to_power()
-
-
-def verify_M_against_oracle(x_range: Sequence[int] = range(1, 10)) -> MOracleReport:
-    """Check every entry of M against exhaustive colouring counts of one
-    lattice layer at x in `x_range`, then compare the exact interpolation
-    through those counts with the symbolic entry."""
+    The oracle enumerates the partitions of one lattice layer into
+    independent sets, outer ring first, then inner ring, and bins them by
+    (outer type, inner type) and number of classes s.  Entry (i, j) must
+    equal sum_s count_s * ff_s exactly.
+    """
+    graph, outer, inner = layer_gadget()
+    walked = _walk_colourings(graph, [*outer, *inner], graph.vertex_count,
+                              DEFAULT_ORACLE_BUDGET, frames=2)
+    grid = [[{} for _ in range(4)] for _ in range(4)]
+    for (t_outer, t_inner, s), count in sorted(walked.items()):
+        grid[t_outer - 1][t_inner - 1][s] = count
+    partitions = tuple(tuple(row) for row in grid)
     m = build_M()
-    counts = {x: layer_type_counts(x) for x in x_range}
-    entry_ok = {}
-    interpolated = {}
-    for i in range(4):
-        for j in range(4):
-            vals = {x: counts[x][i][j] for x in x_range}
-            poly = _interpolate_ff(vals)
-            interpolated[(i, j)] = poly
-            entry_ok[(i, j)] = (poly == m.entries[i][j])
-    return MOracleReport(entry_ok, counts, interpolated)
+    entry_ok = {(i, j): falling_factorial_sum(partitions[i][j]) == m.entries[i][j]
+                for i in range(4) for j in range(4)}
+    return MOracleReport(entry_ok, partitions)

@@ -3,6 +3,7 @@ polynomials."""
 
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -222,12 +223,50 @@ def test_typed_oracle_sums_to_oracle(fixture):
         assert sum(counts.values()) == count_colourings_oracle(fg.graph, x)
 
 
+@st.composite
+def small_graphs(draw, min_vertices=0):
+    """Graphs of at most 7 vertices; with min_vertices=4 the 4-cycle
+    0-1-2-3 is always present, so it can serve as a frame."""
+    n = draw(st.integers(min_vertices, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    if min_vertices >= 4:
+        edges += [(0, 1), (1, 2), (2, 3), (0, 3)]
+    return Graph(n, edges)
+
+
+def proper_assignments(g, x):
+    """Every proper colouring among all x^n assignments, by direct
+    enumeration."""
+    edges = g.edges
+    return (c for c in product(range(x), repeat=g.vertex_count)
+            if all(c[u] != c[v] for u, v in edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.integers(0, 4))
+def test_oracle_matches_direct_enumeration(g, x):
+    expected = sum(1 for _ in proper_assignments(g, x))
+    assert count_colourings_oracle(g, x) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(min_vertices=4), st.integers(0, 4))
+def test_typed_oracle_matches_direct_enumeration(g, x):
+    expected = dict.fromkeys(ColouringType, 0)
+    for c in proper_assignments(g, x):
+        expected[ColouringType.classify(*c[:4])] += 1
+    assert count_colourings_by_type(FramedGraph(g, (0, 1, 2, 3)), x) == expected
+
+
 def test_partition_vector_json_roundtrip(q_w4, capsys):
     # The components that `qvec --format json` prints decode to the vector.
     assert main(["qvec", "W4", "--format", "json"]) == 0
     components = json.loads(capsys.readouterr().out)["components"]
-    assert PartitionVector(*map(IntPolynomial.from_decimal_strings,
-                                components)) == q_w4
+    assert PartitionVector(*(IntPolynomial(map(int, c))
+                             for c in components)) == q_w4
 
 
 def test_partitioned_frame_symmetries(q_neg10, fg_neg10):

@@ -84,6 +84,24 @@ def _assert_one_line_error(capsys, *argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unreadable_input_path_is_a_one_line_error(tmp_path, capsys):
+    # A directory exists but cannot be read as a graph file.
+    _assert_one_line_error(capsys, "poly", str(tmp_path))
+
+
+def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    _assert_one_line_error(capsys, "poly", "W4", "-o", str(missing / "out.txt"))
+    _assert_one_line_error(capsys, "croots", "--n", "1",
+                           "-o", str(missing / "x.csv"))
+    assert not missing.exists()
+
+
+def test_unwritable_report_is_a_one_line_error(tmp_path, capsys):
+    _assert_one_line_error(capsys, "reproduce-tables", "--only", "table1",
+                           "--report", str(tmp_path / "missing" / "r.json"))
+
+
 def test_bad_input_gives_one_line_and_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.graph"
     path.write_text("vertices 3\nedge 0 9\n")

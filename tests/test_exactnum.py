@@ -10,37 +10,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromroots.exactnum import (FallingFactorialCombo, GOLDEN_RATIO,
-                                 InexactDivisionError, IntPolynomial,
-                                 MixedRadicandError, QuadExt, falling_factorial,
+from chromroots.exactnum import (GOLDEN_RATIO, InexactDivisionError,
+                                 IntPolynomial, MixedRadicandError, QuadExt,
+                                 falling_factorial, falling_factorial_sum,
                                  sqrt_rational)
 
 
 def test_ff_small_cases():
-    assert FallingFactorialCombo({2: 1}).to_power() == IntPolynomial([0, -1, 1])
-    assert FallingFactorialCombo({0: 1}).to_power() == IntPolynomial([1])
+    assert falling_factorial_sum({2: 1}) == IntPolynomial([0, -1, 1])
+    assert falling_factorial_sum({0: 1}) == IntPolynomial([1])
     # x^3 = ff1 + 3 ff2 + ff3.
-    assert (FallingFactorialCombo({1: 1, 2: 3, 3: 1}).to_power()
+    assert (falling_factorial_sum({1: 1, 2: 3, 3: 1})
             == IntPolynomial([0, 0, 0, 1]))
 
 
 def test_ff_corner_entry_expansion():
     # The degree-8 corner entry of the layer matrix.
-    combo = FallingFactorialCombo({4: 2, 5: 16, 6: 20, 7: 8, 8: 1})
-    p = combo.to_power()
+    combo = {4: 2, 5: 16, 6: 20, 7: 8, 8: 1}
+    p = falling_factorial_sum(combo)
     assert p.degree == 8
     assert p.leading_coefficient() == 1
     assert p(0) == 0
     # Counts must match a direct product evaluation at integers.
     for x in range(0, 12):
         direct = sum(m * math.prod(x - i for i in range(k))
-                     for k, m in combo.terms.items())
+                     for k, m in combo.items())
         assert p(x) == direct
 
 
 def test_wheel_partition_sum_in_ff_basis():
     # ff3 + 2 ff4 + ff5 is the chromatic polynomial of the 4-wheel.
-    total = FallingFactorialCombo({3: 1, 4: 2, 5: 1}).to_power()
+    total = falling_factorial_sum({3: 1, 4: 2, 5: 1})
     assert total == IntPolynomial([0, 14, -31, 24, -8, 1])
 
 
@@ -48,12 +48,11 @@ def test_ff_roundtrip_randomised():
     # ff_k(x) = x! / (x - k)! = perm(x, k) at every integer x >= 0.
     rng = random.Random(20240811)
     for _ in range(300):
-        combo = FallingFactorialCombo({k: rng.randint(-10 ** 6, 10 ** 6)
-                                       for k in range(rng.randint(0, 12) + 1)})
-        p = combo.to_power()
+        combo = {k: rng.randint(-10 ** 6, 10 ** 6)
+                 for k in range(rng.randint(0, 12) + 1)}
+        p = falling_factorial_sum(combo)
         for x in range(16):
-            assert p(x) == sum(m * math.perm(x, k)
-                               for k, m in combo.terms.items())
+            assert p(x) == sum(m * math.perm(x, k) for k, m in combo.items())
 
 
 def test_ff_vanishes_below_index():
@@ -99,7 +98,7 @@ def test_taylor_shift_against_eval_fraction(coefficients, c, x):
 
 def test_polynomial_serialization_roundtrip():
     p = IntPolynomial([-124884, 258889, 0, 1])
-    assert IntPolynomial.from_decimal_strings(p.to_decimal_strings()) == p
+    assert IntPolynomial(map(int, p.to_decimal_strings())) == p
 
 
 def test_quad_sign_cases():

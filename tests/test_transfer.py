@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 
 from chromroots import transfer
 from chromroots.chromatic import PartitionVector, chromatic_polynomial
-from chromroots.exactnum import (GOLDEN_RATIO, FallingFactorialCombo,
-                                 IntPolynomial, QuadExt, falling_factorial)
+from chromroots.exactnum import (GOLDEN_RATIO, IntPolynomial, QuadExt,
+                                 falling_factorial, falling_factorial_sum)
 from chromroots.graphs import (Graph, cycle_graph, double_ended_strip,
                                framed_square, load_fixture, wheel4)
-from chromroots.transfer import (CHAR_B1, CHAR_B2, TYPE_COLOUR_COUNTS,
+from chromroots.transfer import (_M_FF, CHAR_B1, CHAR_B2, TYPE_COLOUR_COUNTS,
                                  _strip_head, build_M, build_MD,
                                  extend_one_layer, family_polynomial,
                                  family_sign_at, family_value_at, glue,
                                  gluing_weights, golden_identity_check,
-                                 identity_matrix, layer_type_counts,
-                                 verify_M_against_oracle)
+                                 identity_matrix, verify_M_against_oracle)
 
 FF = falling_factorial
 
@@ -31,10 +30,10 @@ def test_layer_matrix_entries():
     assert m.entries[0][0] == FF(4)
     assert m.entries[0][1] == FF(5)
     assert m.entries[0][3] == FF(6)
-    mixed = FallingFactorialCombo({4: 1, 5: 2, 6: 1}).to_power()
+    mixed = falling_factorial_sum({4: 1, 5: 2, 6: 1})
     assert m.entries[1][2] == mixed
     assert m.entries[2][1] == mixed
-    corner = FallingFactorialCombo({4: 2, 5: 16, 6: 20, 7: 8, 8: 1}).to_power()
+    corner = falling_factorial_sum({4: 2, 5: 16, 6: 20, 7: 8, 8: 1})
     assert m.entries[3][3] == corner
     # Symmetry and equal middle rows.
     for i in range(4):
@@ -212,24 +211,37 @@ def test_golden_check_matches_quadext_oracle(coefficients, n_vertices):
     assert_golden_matches_oracle(IntPolynomial(coefficients), n_vertices)
 
 
+def layer_counts(x):
+    """4x4 table of layer colourings by (outer type, inner type) at x,
+    from the oracle's partition counts."""
+    partitions = verify_M_against_oracle().partitions
+    return [[falling_factorial_sum(partitions[i][j])(x) for j in range(4)]
+            for i in range(4)]
+
+
 def test_layer_counts_small_x():
     # With three colours no layer colouring can use four on a ring.
-    counts = layer_type_counts(3)
+    counts = layer_counts(3)
     assert counts[3][3] == 0
     assert counts[0][0] == FF(4)(3)
     assert sum(sum(row) for row in counts) == \
         chromatic_polynomial(load_fixture("L").graph)(3)
 
 
-def test_verify_M_oracle_subrange():
-    report = verify_M_against_oracle(range(1, 10))
+def test_verify_M_oracle_partitions():
+    report = verify_M_against_oracle()
     assert report.passed
     assert report.failures() == []
-    assert report.counts[4][0][0] == 24
-    assert report.counts[5][0][3] == 0
+    assert layer_counts(4)[0][0] == 24
+    assert layer_counts(5)[0][3] == 0
+    # Every partition of the layer into independent sets, entry by entry.
+    assert report.partitions == _M_FF
+    assert sum(sum(entry.values()) for row in report.partitions
+               for entry in row) == 106
     for i in range(4):
         for j in range(4):
-            assert report.interpolated[(i, j)] == build_M().entries[i][j]
+            assert falling_factorial_sum(report.partitions[i][j]) \
+                == build_M().entries[i][j]
 
 
 # ----------------------------------------------------------------------------
