@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict
 
 from .exactnum import IntPolynomial
-from .graphs import (ColouringType, FramedGraph, Graph, type_auxiliary_graph)
+from .graphs import (ColouringType, FramedGraph, Graph, _bits, _components,
+                     type_auxiliary_graph)
 
 DEFAULT_NODE_BUDGET = 4_000_000
 DEFAULT_CACHE_LIMIT = 400_000
@@ -39,17 +39,6 @@ _ONE = IntPolynomial((1,))
 
 class ResourceLimitError(RuntimeError):
     """A computation exceeded its configured node budget."""
-
-
-@lru_cache(maxsize=1 << 14)
-def _bits(m: int) -> tuple:
-    """Indices of the set bits of `m`, lowest first (memoised, bounded)."""
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return tuple(out)
 
 
 def _remove_vertex(masks: tuple, v: int) -> tuple:
@@ -80,27 +69,6 @@ def _contract_edge(masks: tuple, u: int, v: int) -> tuple:
     for w in range(len(out)):
         out[w] &= ~bv
     return _remove_vertex(tuple(out), v)
-
-
-def _components(masks: tuple) -> list:
-    """Vertex sets (as sorted tuples) of the connected components."""
-    n = len(masks)
-    seen = 0
-    comps = []
-    for s in range(n):
-        if seen & (1 << s):
-            continue
-        comp = 1 << s
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= masks[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        comps.append(_bits(comp))
-    return comps
 
 
 def _induced(masks: tuple, verts: tuple) -> tuple:

@@ -15,14 +15,16 @@ Subcommands:
 Graphs are given as file paths or bundled fixture names (W4, H, L, neg10).
 All outputs are deterministic for a fixed configuration.  Bad input (a
 malformed graph file, an option out of range, a path that cannot be read
-or written) gives a one-line error on stderr and exit code 2.  The size
-options are capped before any work starts: root4 --n <= MAX_POINTWISE_N,
-root4 --digits <= MAX_DIGITS, family --n <= MAX_SYMBOLIC_N, croots
---bits <= MAX_BITS, croots --max-iter <= MAX_ITER, the croots strip's
-vertex count (its degree) <= roots.MAX_DEGREE, verify-golden --n and
---max-n <= MAX_GOLDEN_N and reproduce-tables --max-n <= MAX_TABLE_N.
-Every subcommand that runs the deletion-contraction engine (all but
-verify-M) takes --node-budget, at most MAX_NODE_BUDGET.
+or written) gives a one-line error on stderr and exit code 2.  The sizes
+are capped before any work starts: a graph file's vertex count <=
+graphs.MAX_VERTICES, root4 --n <= MAX_POINTWISE_N, root4 --digits <=
+MAX_DIGITS, family --n <= MAX_SYMBOLIC_N, croots --bits <= MAX_BITS, the
+croots strip's vertex count (its degree) <= roots.MAX_DEGREE,
+verify-golden --n or --max-n (not both) <= MAX_GOLDEN_N and
+reproduce-tables --max-n <= MAX_TABLE_N.  croots runs each stage of its
+root iteration for at most roots.MAX_SWEEPS sweeps.  Every subcommand that
+runs the deletion-contraction engine (all but verify-M) takes
+--node-budget, at most MAX_NODE_BUDGET.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ from .transfer import (StripFamily, golden_identity_check,
 MAX_POINTWISE_N = 2049
 MAX_DIGITS = 30
 MAX_BITS = 1024
-#: Cap on croots --max-iter: ten times the default of 400 sweeps.
-MAX_ITER = 4000
 #: Cap on family --n.  The W4,W4 strip at n = 512 (degree 2050) takes
 #: 2.4 s, 37 MB and 2 MB of JSON on a 2-core x86-64 machine; n = 1024
 #: takes 18.6 s and 69 MB (each doubling of n costs 4 to 8 times the time).
@@ -95,8 +95,17 @@ def _load_framed(spec: str) -> FramedGraph:
     return g
 
 
-def _load_ends(args) -> tuple:
-    return _load_framed(args.endA), _load_framed(args.endB)
+def _load_family(args, max_vertices: int | None = None) -> tuple:
+    """(family, size): the strip family of --endA and --endB, whose n-layer
+    strip has size + 4n vertices.  With max_vertices, --n is first capped
+    to strips of at most that many vertices, before the engine runs."""
+    ends = _load_framed(args.endA), _load_framed(args.endB)
+    size = sum(end.graph.vertex_count for end in ends) - 8
+    if max_vertices is not None:
+        _check_range("--n", args.n, 1, (max_vertices - size) // 4)
+    fam = StripFamily.from_framed(*ends, f"{args.endA},{args.endB}",
+                                  node_budget=args.node_budget)
+    return fam, size
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -140,8 +149,7 @@ def cmd_qvec(args) -> int:
 
 def cmd_family(args) -> int:
     _check_range("--n", args.n, 1, MAX_SYMBOLIC_N)
-    fam = StripFamily.from_framed(*_load_ends(args), f"{args.endA},{args.endB}",
-                                  node_budget=args.node_budget)
+    fam, _ = _load_family(args)
     p = fam.polynomial(args.n)
     payload = {"endA": args.endA, "endB": args.endB, "n": args.n,
                "degree": p.degree, "coefficients": p.to_decimal_strings()}
@@ -152,8 +160,7 @@ def cmd_family(args) -> int:
 def cmd_root4(args) -> int:
     _check_range("--n", args.n, 1, MAX_POINTWISE_N)
     _check_range("--digits", args.digits, 0, MAX_DIGITS)
-    fam = StripFamily.from_framed(*_load_ends(args), f"{args.endA},{args.endB}",
-                                  node_budget=args.node_budget)
+    fam, _ = _load_family(args)
     width = Fraction(1, 10 ** (args.digits + 1))
     try:
         res = largest_root_near_four(fam, args.n, width=width,
@@ -189,12 +196,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    qa = partitioned_chromatic(_load_framed(args.endA),
-                               node_budget=args.node_budget)
-    qb = partitioned_chromatic(_load_framed(args.endB),
-                               node_budget=args.node_budget)
-    verdict_a = classify_end_graph(qa).verdict
-    verdict_b = classify_end_graph(qb).verdict
+    fam, _ = _load_family(args)
+    verdict_a = classify_end_graph(fam.qa).verdict
+    verdict_b = classify_end_graph(fam.qb).verdict
     approaching = verdict_a != verdict_b
     payload = {"endA": verdict_a, "endB": verdict_b,
                "roots_approach_four": approaching}
@@ -205,22 +209,21 @@ def cmd_predict(args) -> int:
 
 
 def cmd_verify_golden(args) -> int:
-    _check_range("--n", args.n, 1, MAX_GOLDEN_N)
-    if args.max_n is not None:
+    if args.max_n is None:
+        ns = [2 if args.n is None else args.n]
+        _check_range("--n", ns[0], 1, MAX_GOLDEN_N)
+    elif args.n is not None:
+        raise ValueError("give --n or --max-n, not both")
+    else:
         _check_range("--max-n", args.max_n, 1, MAX_GOLDEN_N)
-    ends = _load_ends(args)
-    fam = StripFamily.from_framed(*ends, f"{args.endA},{args.endB}",
-                                  node_budget=args.node_budget)
-    sizes = [end.graph.vertex_count for end in ends]
-    ns = range(1, args.max_n + 1) if args.max_n else [args.n]
+        ns = range(1, args.max_n + 1)
+    fam, size = _load_family(args)
     results = []
-    ok = True
     for n in ns:
-        p = fam.polynomial(n)
-        vertices = sizes[0] + sizes[1] + 4 * n - 8
-        res = golden_identity_check(p, vertices)
+        vertices = size + 4 * n
+        res = golden_identity_check(fam.polynomial(n), vertices)
         results.append({"n": n, "vertices": vertices, "passed": res.passed})
-        ok = ok and res.passed
+    ok = all(r["passed"] for r in results)
     payload = {"family": fam.label, "results": results, "passed": ok}
     text = "".join(f"n={r['n']} vertices={r['vertices']}: "
                    f"{'pass' if r['passed'] else 'FAIL'}\n" for r in results)
@@ -243,15 +246,10 @@ def cmd_verify_m(args) -> int:
 
 def cmd_croots(args) -> int:
     _check_range("--bits", args.bits, 1, MAX_BITS)
-    _check_range("--max-iter", args.max_iter, 1, MAX_ITER)
-    ends = _load_ends(args)
-    # The strip polynomial's degree is its vertex count |A| + |B| + 4n - 8.
-    size = sum(end.graph.vertex_count for end in ends)
-    _check_range("--n", args.n, 1, (MAX_DEGREE + 8 - size) // 4)
-    fam = StripFamily.from_framed(*ends, f"{args.endA},{args.endB}",
-                                  node_budget=args.node_budget)
+    # The strip polynomial's degree is its vertex count.
+    fam, _ = _load_family(args, max_vertices=MAX_DEGREE)
     p = fam.polynomial(args.n)
-    rs = complex_roots(p, args.bits, max_iter=args.max_iter)
+    rs = complex_roots(p, args.bits)
     lines = ["re,im"]
     import mpmath as mp
     digits = max(10, args.bits // 4)
@@ -268,19 +266,6 @@ def cmd_croots(args) -> int:
 
 
 # -- table reproduction -------------------------------------------------------
-
-def _reproduce_roots(fam: StripFamily, rows, reference, digits, offset):
-    width = Fraction(1, 10 ** (digits + 1))
-    checks = []
-    for n in rows:
-        res = largest_root_near_four(fam, n + offset, width=width,
-                                     digits=digits)
-        ref = reference[n]
-        checks.append({"n": n, "computed": res.decimal,
-                       "reference": fraction_to_decimal(ref, digits),
-                       "ok": abs(res.midpoint - ref) <= ROOT_TOLERANCE})
-    return checks
-
 
 def cmd_reproduce_tables(args) -> int:
     _check_range("--max-n", args.max_n, 1, MAX_TABLE_N)
@@ -301,28 +286,28 @@ def cmd_reproduce_tables(args) -> int:
         qw4 = partitioned_chromatic(load_fixture("W4"),
                                     node_budget=args.node_budget)
         fam = StripFamily(qh, qw4, "H,W4")
-    if which in ("all", "table2"):
-        rows = [n for n in BY_N_ROWS if n <= args.max_n]
-        checks = _reproduce_roots(fam, rows, reference_roots_by_n(),
-                                  digits=10, offset=0)
+    # (table, rows, reference, digits, strip length minus row label)
+    for table, rows, reference, digits, offset in (
+            ("table2", BY_N_ROWS, reference_roots_by_n, 10, 0),
+            ("table3", DOUBLING_ROWS, reference_roots_doubling, 9, 1)):
+        if which not in ("all", table):
+            continue
+        width = Fraction(1, 10 ** (digits + 1))
+        refs = reference()
+        checks = []
+        for n in [n for n in rows if n <= args.max_n]:
+            res = largest_root_near_four(fam, n + offset, width=width,
+                                         digits=digits)
+            checks.append({"n": n, "computed": res.decimal,
+                           "reference": fraction_to_decimal(refs[n], digits),
+                           "ok": abs(res.midpoint - refs[n]) <= ROOT_TOLERANCE})
+            strip = f" (strip {n + offset})" if offset else ""
+            sys.stdout.write(f"{table} n={n}{strip}: {res.decimal} "
+                             f"ref {checks[-1]['reference']} "
+                             f"{'pass' if checks[-1]['ok'] else 'FAIL'}\n")
         ok = all(c["ok"] for c in checks)
-        report["table2"] = {"passed": ok, "rows": checks}
+        report[table] = {"passed": ok, "rows": checks}
         all_ok = all_ok and ok
-        for c in checks:
-            sys.stdout.write(f"table2 n={c['n']}: {c['computed']} "
-                             f"ref {c['reference']} "
-                             f"{'pass' if c['ok'] else 'FAIL'}\n")
-    if which in ("all", "table3"):
-        rows = [n for n in DOUBLING_ROWS if n <= args.max_n]
-        checks = _reproduce_roots(fam, rows, reference_roots_doubling(),
-                                  digits=9, offset=1)
-        ok = all(c["ok"] for c in checks)
-        report["table3"] = {"passed": ok, "rows": checks}
-        all_ok = all_ok and ok
-        for c in checks:
-            sys.stdout.write(f"table3 n={c['n']} (strip {c['n'] + 1}): "
-                             f"{c['computed']} ref {c['reference']} "
-                             f"{'pass' if c['ok'] else 'FAIL'}\n")
 
     report["elapsed_seconds"] = round(time.time() - t_start, 3)
     report["passed"] = all_ok
@@ -395,10 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-golden", help="golden-ratio identity check")
     p.add_argument("--endA", default="H")
     p.add_argument("--endB", default="W4")
-    p.add_argument("--n", type=int, default=2,
-                   help=f"strip length, at most {MAX_GOLDEN_N}")
+    p.add_argument("--n", type=int,
+                   help=f"strip length (default 2), at most {MAX_GOLDEN_N}")
     p.add_argument("--max-n", type=int,
-                   help="check all n up to this bound, at most "
+                   help="check all n up to this bound instead, at most "
                         f"{MAX_GOLDEN_N}")
     common(p)
     p.set_defaults(func=cmd_verify_golden)
@@ -413,9 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--bits", type=int, default=256,
                    help=f"working precision, at most {MAX_BITS}")
-    p.add_argument("--max-iter", type=int, default=400,
-                   help="iteration cap for the simultaneous root iteration, "
-                        f"at most {MAX_ITER}")
     p.add_argument("-o", "--output", "--out", help="write the CSV to a file")
     node_budget(p)
     p.set_defaults(func=cmd_croots)

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: integer polynomials, falling factorials and
-their integer combinations, and real quadratic extension fields.
+their integer combinations, real quadratic extension fields, and the one
+power, quadratic-ring product and dot product that other modules use.
 
 Everything here is exact.  Rationals are `fractions.Fraction`, integers are
 Python ints, and quadratic irrationals a + b*sqrt(d) carry their radicand
@@ -10,7 +11,9 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping
 
 
@@ -20,6 +23,40 @@ class InexactDivisionError(ArithmeticError):
 
 class MixedRadicandError(ArithmeticError):
     """Arithmetic attempted between elements of different quadratic fields."""
+
+
+# ----------------------------------------------------------------------------
+# Ring kernels
+# ----------------------------------------------------------------------------
+
+def power(base, e: int, one, mul=operator.mul):
+    """base^e for an integer e >= 0 in any ring whose unit is `one`, by
+    square-and-multiply with the product `mul`."""
+    if e < 0:
+        raise ValueError(f"negative power {e}")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
+
+
+def quad_mul(u: tuple, v: tuple, b1, b2) -> tuple:
+    """Product of pairs (p, q) = p + q t over a commutative ring in which
+    t^2 = -b1 t - b2: (p + q t)(r + s t) = (p r - q s b2) + (p s + q r - q s b1) t."""
+    (p, q), (r, s) = u, v
+    qs = q * s
+    return p * r - qs * b2, p * s + q * r - qs * b1
+
+
+def dot(*vectors):
+    """sum_i u_i w_i ... over equal-length vectors of exact scalars, formed
+    left to right with no 0 or 1 start value."""
+    return reduce(operator.add, (reduce(operator.mul, entries)
+                                 for entries in zip(*vectors)))
 
 
 # ----------------------------------------------------------------------------
@@ -119,16 +156,7 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPolynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = IntPolynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, IntPolynomial((1,)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPolynomial) and self._c == other._c
@@ -424,16 +452,8 @@ class QuadExt:
         return o * s.inverse()
 
     def __pow__(self, n: int) -> "QuadExt":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = QuadExt(1, 0, self.d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        base = self if n >= 0 else self.inverse()
+        return power(base, abs(n), QuadExt(1, 0, self.d))
 
     # -- exact comparisons
 

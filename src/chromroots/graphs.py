@@ -3,13 +3,54 @@ operations, a text file format, and the bundled end-graph fixtures.
 
 Vertices are 0..n-1.  Graphs are immutable: every surgery operation
 (edge addition, vertex identification, gluing) returns a new Graph.
+Adjacency is one bitmask per vertex; the mask walkers here (set bits,
+connected components) serve Graph and the deletion-contraction engine.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
+
+
+@lru_cache(maxsize=1 << 14)
+def _bits(m: int) -> tuple:
+    """Indices of the set bits of `m`, lowest first (memoised, bounded)."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
+
+
+def _components(masks: tuple) -> list:
+    """Vertex sets (as sorted tuples) of the connected components."""
+    n = len(masks)
+    seen = 0
+    comps = []
+    for s in range(n):
+        if seen & (1 << s):
+            continue
+        comp = 1 << s
+        frontier = comp
+        while frontier:
+            nxt = 0
+            for v in _bits(frontier):
+                nxt |= masks[v]
+            frontier = nxt & ~comp
+            comp |= nxt
+        seen |= comp
+        comps.append(_bits(comp))
+    return comps
+
+
+#: Cap on the vertex count of a graph file.  `chromroots poly` takes 2.7-2.9 s
+#: on a 2000-vertex path or star (0.4 s on 2000 isolated vertices) and 8-9 s
+#: on a 3000-vertex one, on a 2-core x86-64 machine.
+MAX_VERTICES = 2000
 
 
 class AdjacentMergeError(ValueError):
@@ -70,30 +111,10 @@ class Graph:
         return self.adjacency_masks()[v].bit_count()
 
     def neighbours(self, v: int) -> tuple:
-        m = self.adjacency_masks()[v]
-        out = []
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            out.append(u)
-        return tuple(out)
+        return _bits(self.adjacency_masks()[v])
 
     def is_connected(self) -> bool:
-        if self._n <= 1:
-            return True
-        masks = self.adjacency_masks()
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= masks[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen == (1 << self._n) - 1
+        return self._n <= 1 or len(_components(self.adjacency_masks())) == 1
 
     # -- surgery
 
@@ -262,6 +283,9 @@ def parse_graph_text(text: str):
         kind = parts[0]
         if kind == "vertices" and len(parts) == 2:
             n = int(parts[1])
+            if not 0 <= n <= MAX_VERTICES:
+                raise ValueError(f"line {lineno}: vertex count must be in "
+                                 f"[0, {MAX_VERTICES}], got {n}")
         elif kind == "edge" and len(parts) == 3:
             edges.append((int(parts[1]), int(parts[2])))
         elif kind == "frame" and len(parts) == 5:

@@ -24,12 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import add, mul
+from functools import lru_cache, partial
 from typing import List
 
 from .chromatic import PartitionVector
-from .exactnum import IntPolynomial, QuadExt, sqrt_rational
+from .exactnum import IntPolynomial, QuadExt, dot, quad_mul, sqrt_rational
 from .transfer import (CHAR_B1, CHAR_B2, build_MD, gluing_weight_values,
                        gluing_weights)
 
@@ -159,18 +158,12 @@ def eigensystem_at(x: Fraction) -> EigenSystem:
                        lambda4=lam4, v2=v2, v3=v3)
 
 
-def _dot(*vectors):
-    """sum_i u_i w_i ... over equal-length vectors of exact scalars, formed
-    left to right with no 0 or 1 start value."""
-    return reduce(add, (reduce(mul, entries) for entries in zip(*vectors)))
-
-
 def eigen_residual(es: EigenSystem, which: int) -> tuple:
     """(MD(x)) v - lambda v for eigenpair `which` (1..4); all-zero means the
     pair is exact."""
     lam, v = es.eigenpairs()[which - 1]
     md = build_MD().evaluate(es.x)
-    return tuple(_dot(v, row) - lam * vi for row, vi in zip(md, v))
+    return tuple(dot(v, row) - lam * vi for row, vi in zip(md, v))
 
 
 def orthogonality_check(es: EigenSystem) -> bool:
@@ -181,7 +174,7 @@ def orthogonality_check(es: EigenSystem) -> bool:
     winv = tuple(1 / wi for wi in w)
     for i in range(4):
         for j in range(4):
-            prod = _dot(vecs[i], winv, vecs[j])
+            prod = dot(vecs[i], winv, vecs[j])
             s = prod.sign() if isinstance(prod, QuadExt) else \
                 ((prod > 0) - (prod < 0))
             if i == j and s <= 0:
@@ -202,7 +195,7 @@ class Decomposition:
 
     def reconstruct(self) -> tuple:
         vecs = (self.system.v1, self.system.v2, self.system.v3, self.system.v4)
-        return tuple(_dot(self.alpha, column) for column in zip(*vecs))
+        return tuple(dot(self.alpha, column) for column in zip(*vecs))
 
     def projection(self, i: int):
         """alpha_i * ||v_i||^2 = Q(x)^T D v_i for eigenvector i (1..4)."""
@@ -218,8 +211,8 @@ def decompose(q: PartitionVector, es: EigenSystem) -> Decomposition:
     alphas = []
     norms = []
     for v in vecs:
-        num = _dot(values, winv, v)
-        den = _dot(v, winv, v)
+        num = dot(values, winv, v)
+        den = dot(v, winv, v)
         if not isinstance(num, QuadExt):
             num = QuadExt(num, 0, es.d if es.d > 1 else 5)
         if not isinstance(den, QuadExt):
@@ -253,7 +246,7 @@ def second_projection_at(q: PartitionVector, x: Fraction) -> QuadExt:
     es = eigensystem_at(x)
     values = q.eval_fraction(x)
     winv = tuple(1 / wi for wi in es.weights())
-    out = _dot(values, winv, es.v2)
+    out = dot(values, winv, es.v2)
     if not isinstance(out, QuadExt):
         out = QuadExt(out, 0, 5)
     return out
@@ -294,12 +287,9 @@ def _series_divide(a: list, b: list) -> list:
     return out
 
 
-def _lam_mul(e: tuple, f: tuple) -> tuple:
-    """(p + q lam)(r + s lam) with lam^2 = -CHAR_B1 lam - CHAR_B2; elements
-    of Z[x][lam2] are pairs (p, q) of IntPolynomial."""
-    (p, q), (r, s) = e, f
-    qs = q * s
-    return p * r - qs * CHAR_B2, p * s + q * r - qs * CHAR_B1
+#: Product in Z[x][lam2], lam2^2 = -CHAR_B1 lam2 - CHAR_B2, of pairs (p, q)
+#: of IntPolynomial.
+_lam_mul = partial(quad_mul, b1=CHAR_B1, b2=CHAR_B2)
 
 
 def _lam_cross(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
@@ -449,4 +439,4 @@ def limit_projection_check(q: PartitionVector) -> bool:
     v2(4) the limit vector (3/2, 1, 1, -1)."""
     values = q.eval_fraction(Fraction(4))
     winv = tuple(1 / wi for wi in gluing_weight_values(Fraction(4)))
-    return _dot(values, winv, V2_AT_FOUR) == classifier_constant(q)
+    return dot(values, winv, V2_AT_FOUR) == classifier_constant(q)

@@ -10,22 +10,24 @@ polynomial det(tI - MD) = t (t - 2) (t^2 + CHAR_B1 t + CHAR_B2) gives by
 Cayley-Hamilton, not from powers of MD.  Both paths start from one cached
 strip head per end pair (X(1..4) and the recurrence's modulus), then take
 2 or 3 polynomial multiply-adds per layer symbolically, or s^(n-2) modulo
-the recurrence by integer square-and-multiply pointwise.
-TransferMatrix.power remains the 4x4 path that tests compare against.
+the recurrence by integer square-and-multiply pointwise (_power_mod, kept
+apart from exactnum.power for its symmetric squaring and shift-multiply).
+TransferMatrix.power, exactnum.power on 4x4 products, remains the path that
+tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .chromatic import (DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_BUDGET,
                         PartitionVector, _walk_colourings,
                         partitioned_chromatic)
-from .exactnum import (IntPolynomial, QuadExt, falling_factorial,
-                       falling_factorial_sum)
+from .exactnum import (IntPolynomial, QuadExt, dot, falling_factorial,
+                       falling_factorial_sum, power, quad_mul)
 from .graphs import ColouringType, FramedGraph, layer_gadget
 
 #: Number of colours used on the frame by each colouring type.
@@ -38,41 +40,18 @@ CHAR_B2 = IntPolynomial((540, -1350, 1368, -722, 210, -32, 2))
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """4x4 matrix of integer polynomials with a tag naming what it is."""
+    """4x4 matrix of integer polynomials."""
 
     entries: tuple  # 4 rows of 4 IntPolynomial
-    tag: str
-
-    def __getitem__(self, i: int) -> tuple:
-        return self.entries[i]
 
     def apply(self, vec: Sequence[IntPolynomial]) -> tuple:
-        return tuple(sum((self.entries[i][j] * vec[j] for j in range(4)),
-                         IntPolynomial.zero()) for i in range(4))
+        return tuple(dot(row, vec) for row in self.entries)
 
     def matmul(self, other: "TransferMatrix") -> "TransferMatrix":
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                acc = IntPolynomial.zero()
-                for k in range(4):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return TransferMatrix(tuple(rows), f"({self.tag})*({other.tag})")
+        return TransferMatrix(tuple(zip(*map(self.apply, zip(*other.entries)))))
 
     def power(self, k: int) -> "TransferMatrix":
-        if k < 0:
-            raise ValueError("negative matrix power")
-        result = identity_matrix()
-        base = self
-        while k:
-            if k & 1:
-                result = result.matmul(base)
-            base = base.matmul(base)
-            k >>= 1
-        return TransferMatrix(result.entries, f"({self.tag})^k")
+        return power(self, k, identity_matrix(), TransferMatrix.matmul)
 
     def evaluate(self, x: Fraction) -> tuple:
         """Entry-wise exact rational evaluation."""
@@ -82,7 +61,7 @@ class TransferMatrix:
 def identity_matrix() -> TransferMatrix:
     one, zero = IntPolynomial((1,)), IntPolynomial.zero()
     return TransferMatrix(tuple(tuple(one if i == j else zero for j in range(4))
-                                for i in range(4)), "I")
+                                for i in range(4)))
 
 
 #: Layer-count matrix M in the falling-factorial basis: entry (i, j) counts
@@ -102,7 +81,7 @@ _M_FF = (
 def build_M() -> TransferMatrix:
     """The 4x4 layer-count matrix M, expanded into the power basis."""
     rows = tuple(tuple(falling_factorial_sum(c) for c in row) for row in _M_FF)
-    return TransferMatrix(rows, "M")
+    return TransferMatrix(rows)
 
 
 def gluing_weights() -> tuple:
@@ -130,7 +109,7 @@ def build_MD() -> TransferMatrix:
     for i in range(4):
         rows.append(tuple(m.entries[i][j].divide_exact(weights[j])
                           for j in range(4)))
-    return TransferMatrix(tuple(rows), "MD")
+    return TransferMatrix(tuple(rows))
 
 
 # ----------------------------------------------------------------------------
@@ -303,25 +282,8 @@ class GoldenIdentityResult:
         return self.lhs - self.rhs
 
 
-def _tau_mul(u: tuple, v: tuple) -> tuple:
-    """Product of a + b tau and c + d tau in Z[tau], with tau^2 = tau + 1."""
-    a, b = u
-    c, d = v
-    bd = b * d
-    return a * c + bd, a * d + b * c + bd
-
-
-def _tau_pow(e: int) -> tuple:
-    """tau^e in Z[tau] by square-and-multiply; tau^-1 = tau - 1."""
-    base = (0, 1) if e >= 0 else (-1, 1)
-    result = (1, 0)
-    e = abs(e)
-    while e:
-        if e & 1:
-            result = _tau_mul(result, base)
-        base = _tau_mul(base, base)
-        e >>= 1
-    return result
+#: Product of a + b tau and c + d tau in Z[tau], with tau^2 = tau + 1.
+_tau_mul = partial(quad_mul, b1=-1, b2=-1)
 
 
 def _value_at_tau_plus(p: IntPolynomial, k: int) -> tuple:
@@ -345,14 +307,16 @@ def golden_identity_check(p: IntPolynomial, n_vertices: int) -> GoldenIdentityRe
 
     Both sides are computed and compared in Z[tau] (pairs of integers
     a + b tau, tau^2 = tau + 1), which holds every value here since tau is
-    a unit; they become Q(sqrt 5) elements only for the result.  Holds for
+    a unit (tau^-1 = tau - 1); they become Q(sqrt 5) elements only for the
+    result.  Holds for
     chromatic polynomials of planar triangulations; failure is a result,
     not an error.
     """
     lhs = _value_at_tau_plus(p, 2)
     at_one = _value_at_tau_plus(p, 1)
-    rhs = _tau_mul(_tau_mul((2, 1), _tau_pow(3 * n_vertices - 10)),
-                   _tau_mul(at_one, at_one))
+    e = 3 * n_vertices - 10
+    tau_e = power((0, 1) if e >= 0 else (-1, 1), abs(e), (1, 0), _tau_mul)
+    rhs = _tau_mul(_tau_mul((2, 1), tau_e), _tau_mul(at_one, at_one))
     return GoldenIdentityResult(lhs == rhs, _as_quadext(lhs), _as_quadext(rhs))
 
 

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from chromroots import cli
-from chromroots.cli import (MAX_BITS, MAX_DIGITS, MAX_GOLDEN_N, MAX_ITER,
+from chromroots import cli, roots
+from chromroots.cli import (MAX_BITS, MAX_DIGITS, MAX_GOLDEN_N,
                             MAX_NODE_BUDGET, MAX_POINTWISE_N, MAX_SYMBOLIC_N,
                             MAX_TABLE_N, main)
+from chromroots.graphs import MAX_VERTICES
 from chromroots.roots import MAX_DEGREE
 from chromroots.tables import DOUBLING_ROWS
 from chromroots.transfer import StripFamily
@@ -120,9 +121,6 @@ def test_pointwise_caps(capsys):
     _assert_one_line_error(capsys, "croots", "--n", "10",
                            "--bits", str(MAX_BITS + 1))
     _assert_one_line_error(capsys, "croots", "--n", "0")
-    _assert_one_line_error(capsys, "croots", "--n", "1", "--max-iter", "0")
-    _assert_one_line_error(capsys, "croots", "--n", "1",
-                           "--max-iter", str(MAX_ITER + 1))
     # Every bundled table row fits under the caps.
     assert max(DOUBLING_ROWS) + 1 <= MAX_POINTWISE_N
     assert 10 <= MAX_DIGITS and 256 <= MAX_BITS
@@ -179,9 +177,33 @@ def test_verify_golden_range_before_building_the_strip(capsys, monkeypatch):
                                "--endB", "W4", *argv)
 
 
-def test_croots_that_does_not_converge_gives_one_line(capsys):
-    assert main(["croots", "--endA", "W4", "--endB", "W4", "--n", "1",
-                 "--max-iter", "1"]) == 1
+def test_verify_golden_rejects_n_with_max_n(capsys, monkeypatch):
+    monkeypatch.setattr(StripFamily, "from_framed",
+                        lambda *ends, **kw: pytest.fail("strip built"))
+    _assert_one_line_error(capsys, "verify-golden", "--n", "5", "--max-n", "3")
+    _assert_one_line_error(capsys, "verify-golden", "--max-n", "3", "--n", "2")
+
+
+def test_verify_golden_n_defaults_to_2(capsys):
+    code, out = run_cli(capsys, "verify-golden", "--endA", "W4", "--endB", "W4")
+    assert code == 0
+    assert out == "n=2 vertices=10: pass\n"
+
+
+def test_graph_file_over_the_vertex_cap_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "huge.graph"
+    for n in ("99999999999", str(MAX_VERTICES + 1)):
+        path.write_text(f"vertices {n}\n")
+        _assert_one_line_error(capsys, "poly", str(path))
+    path.write_text(f"vertices {MAX_VERTICES}\n")
+    code, out = run_cli(capsys, "poly", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["degree"] == MAX_VERTICES
+
+
+def test_croots_that_does_not_converge_gives_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(roots, "MAX_SWEEPS", 1)
+    assert main(["croots", "--endA", "W4", "--endB", "W4", "--n", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("no convergence: ") and err.count("\n") == 1
 
@@ -206,6 +228,7 @@ def test_node_budget_applies_wherever_the_engine_runs(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("verify-M", "--node-budget", "10"),
     ("croots", "--format", "json"),
+    pytest.param(("croots", "--max-iter", "1"), id="croots-max-iter"),
     ("reproduce-tables", "--format", "json"),
     pytest.param(("reproduce-tables", "--jobs", "1"), id="reproduce-tables-jobs"),
     pytest.param(("family", "--endA", "H", "--endB", "W4", "--n", "2",

@@ -2,8 +2,10 @@
 extensions."""
 
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from chromroots.exactnum import (GOLDEN_RATIO, InexactDivisionError,
                                  IntPolynomial, MixedRadicandError, QuadExt,
                                  falling_factorial, falling_factorial_sum,
-                                 sqrt_rational)
+                                 power, quad_mul, sqrt_rational)
 
 
 def test_ff_small_cases():
@@ -174,3 +176,67 @@ def test_sqrt_rational():
     assert sqrt_rational(Fraction(49, 4)).rational_value() == Fraction(7, 2)
     with pytest.raises(ValueError):
         sqrt_rational(Fraction(-1))
+
+
+def _repeated(base, e, one, mul=operator.mul):
+    """base^e as e - 1 plain multiplications: the oracle for power."""
+    out = one
+    for _ in range(e):
+        out = mul(out, base)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=5), st.integers(0, 12))
+def test_power_matches_repeated_multiplication_on_polynomials(coefficients, e):
+    p = IntPolynomial(coefficients)
+    one = IntPolynomial([1])
+    assert p ** e == power(p, e, one) == _repeated(p, e, one)
+
+
+def test_power_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        IntPolynomial([1, 1]) ** -1
+    with pytest.raises(ValueError):
+        power(3, -2, 1)
+
+
+def test_quadext_power_matches_repeated_multiplication():
+    one = QuadExt(1, 0, 7)
+    for q in (QuadExt(Fraction(3, 2), -2, 7), QuadExt(0, Fraction(1, 3), 7)):
+        for e in range(-7, 8):
+            base = q if e >= 0 else q.inverse()
+            assert q ** e == _repeated(base, abs(e), one)
+            assert (q ** e) * (q ** -e) == one
+
+
+def test_power_on_golden_pairs():
+    """tau^e in Z[tau] as pairs (a, b) = a + b tau, tau^2 = tau + 1:
+    (F(e-1), F(e)) for e >= 0, and tau^-1 = tau - 1 = (-1, 1)."""
+    tau_mul = partial(quad_mul, b1=-1, b2=-1)
+    fib = [1, 0, 1]  # F(-1), F(0), F(1)
+    while len(fib) < 32:
+        fib.append(fib[-1] + fib[-2])
+    for e in range(30):
+        up = power((0, 1), e, (1, 0), tau_mul)
+        down = power((-1, 1), e, (1, 0), tau_mul)
+        assert up == _repeated((0, 1), e, (1, 0), tau_mul) == (fib[e], fib[e + 1])
+        assert down == _repeated((-1, 1), e, (1, 0), tau_mul)
+        assert tau_mul(up, down) == (1, 0)
+        assert QuadExt(Fraction(2 * down[0] + down[1], 2), Fraction(down[1], 2),
+                       5) == GOLDEN_RATIO ** -e
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=4, max_size=4),
+       st.integers(-5, 5), st.integers(-5, 5))
+def test_quad_mul_matches_quadext(entries, b1, b2):
+    """(p + q t)(r + s t) with t^2 = -b1 t - b2, against t a root of that
+    quadratic in a real quadratic field, when the discriminant is positive."""
+    disc = b1 * b1 - 4 * b2
+    if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+        return
+    t = QuadExt(Fraction(-b1, 2), Fraction(1, 2), disc)
+    p, q, r, s = entries
+    a, b = quad_mul((p, q), (r, s), b1, b2)
+    assert a + b * t == (p + q * t) * (r + s * t)

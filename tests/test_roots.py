@@ -304,6 +304,32 @@ def test_complex_roots_scaling_prevents_float_overflow():
     assert all(res < mp.mpf(2) ** -200 for res in rs.residuals)
 
 
+def test_complex_roots_emits_the_integer_roots_exactly(family_hw4, monkeypatch):
+    """H,W4 at n=10 is x(x-1)(x-2)(x-3)^10 r: Yun runs on r alone, the
+    roots 0, 1, 2 and 3 (ten times) come out exact with residual 0, and the
+    real roots are Sturm's count with multiplicity."""
+    p = family_hw4.polynomial(10)
+    rest, ks = roots._deflate_small_integer_roots(p)
+    assert ks == {0: 1, 1: 1, 2: 1, 3: 10}
+    assert rest * IntPolynomial([0, 1]) * IntPolynomial([-1, 1]) \
+        * IntPolynomial([-2, 1]) * IntPolynomial([-3, 1]) ** 10 == p
+    yun_degrees = []
+    real_yun = roots.squarefree_factors
+    monkeypatch.setattr(roots, "squarefree_factors",
+                        lambda q: yun_degrees.append(q.degree) or real_yun(q))
+    rs = complex_roots(p)
+    assert yun_degrees == [p.degree - 13]
+    assert len(rs.roots) == p.degree
+    exact = [(re, res) for (re, im), res in zip(rs.roots, rs.residuals)
+             if im == 0 and re == int(re) and re <= 3]
+    assert sorted(int(re) for re, _ in exact) == [0, 1, 2] + [3] * 10
+    assert all(res == 0 for _, res in exact)
+    bound = Fraction(2 + max(map(abs, p.coefficients)))
+    distinct_reals = len(set(rs.real_roots()))
+    assert distinct_reals == sturm_count(p, -bound, bound)
+    assert len(rs.real_roots()) == 19
+
+
 def test_complex_roots_rejects_bad_degrees():
     with pytest.raises(ValueError):
         complex_roots(IntPolynomial([3]))

@@ -91,6 +91,22 @@ def test_extend_twice_equals_squared_matrix(q_w4):
     assert identity_matrix().apply(tuple(q_w4)) == tuple(q_w4)
 
 
+def test_matrix_power_matches_repeated_multiplication():
+    def times(a, b):  # the textbook triple loop over entries
+        return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(4)),
+                               IntPolynomial.zero()) for j in range(4))
+                     for i in range(4))
+
+    md = build_MD()
+    expected = identity_matrix().entries
+    for k in range(6):
+        assert md.power(k).entries == expected
+        expected = times(expected, md.entries)
+    assert md.matmul(build_M()).entries == times(md.entries, build_M().entries)
+    with pytest.raises(ValueError):
+        md.power(-1)
+
+
 def test_family_polynomial_degrees(family_hw4):
     for n in (1, 2, 3, 5):
         assert family_hw4.polynomial(n).degree == 4 * n + 13
