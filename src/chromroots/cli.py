@@ -51,8 +51,11 @@ from .transfer import (StripFamily, golden_identity_check,
                        verify_M_against_oracle)
 
 #: Caps on the pointwise options.  Every bundled table row fits: strip 513
-#: at 10 digits for root4, and 256 bits for croots.
-MAX_POINTWISE_N = 2049
+#: at 10 digits for root4, and 256 bits for croots.  root4 on H,W4 takes
+#: 3.0-3.4 s at strip 2049 and 4097 (2.4 s of it the engine on H) and
+#: 8.1-8.9 s at 8193 on a 2-core x86-64 machine; each doubling of n costs
+#: about 4 times the time of its 4 or 5 exact signs.
+MAX_POINTWISE_N = 4097
 MAX_DIGITS = 30
 MAX_BITS = 1024
 #: Cap on family --n.  The W4,W4 strip at n = 512 (degree 2050) takes
@@ -300,7 +303,8 @@ def cmd_reproduce_tables(args) -> int:
                                          digits=digits)
             checks.append({"n": n, "computed": res.decimal,
                            "reference": fraction_to_decimal(refs[n], digits),
-                           "ok": abs(res.midpoint - refs[n]) <= ROOT_TOLERANCE})
+                           "ok": abs(res.midpoint - refs[n]) <= ROOT_TOLERANCE,
+                           "exact_signs": res.bracket.exact_signs})
             strip = f" (strip {n + offset})" if offset else ""
             sys.stdout.write(f"{table} n={n}{strip}: {res.decimal} "
                              f"ref {checks[-1]['reference']} "

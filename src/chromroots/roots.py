@@ -1,5 +1,23 @@
-"""Real-root isolation near 4 (exact rational bisection with sign probes,
-Sturm certification) and a desk-scale multiprecision complex-root finder.
+"""Real-root isolation near 4 (float prediction checked by exact signs,
+exact rational bisection, Sturm certification) and a desk-scale
+multiprecision complex-root finder.
+
+The root of an n-layer strip closest to 4 is found in two steps.  The
+probe cell 4 - 2^-k .. 4 - 2^-(k+1) (or .. 4 at the last k) holding the
+largest sign change below 4 comes from the signs of the float closed form
+of the strip family (transfer.ClosedForm) at the 48 probes; a probe whose
+float value is within rounding reach of zero is evaluated exactly.  Then
+bisection halves that cell down to the requested width, first on the
+closed form's signs and then exactly.  Exact signs, at 4, at the two ends
+of the cell and at the two ends of the interval the float halving reached,
+certify what is printed: the bracket holds a sign change.  The floats
+decide which one: that no probe nearer 4 is negative, and which way each
+halving above the final interval went.  When an exact sign contradicts
+them, the cell moves or the halving starts over exactly from the cell, so
+a wrong float costs exact signs, not a wrong bracket; with no negative
+probe at all, every probe is evaluated exactly.  On H,W4 a table row takes
+5 exact signs in all, where evaluating every probe and midpoint exactly
+took 76-84.
 
 Sturm counts divide out the integer roots 0, 1, 2, ... first (a chromatic
 polynomial vanishes exactly at 0..chi-1, an n-layer strip at 3 with
@@ -22,7 +40,7 @@ the imaginary parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -32,6 +50,9 @@ from .exactnum import IntPolynomial
 from .transfer import StripFamily
 
 BRACKET_MAX_K = 48
+#: Most halvings _predicted_cell runs on float signs: a double holds the
+#: eps = 4 - x of a point 44 halvings into a probe cell exactly.
+JUMP_DEPTH = 44
 DEFAULT_WIDTH = Fraction(1, 10 ** 11)
 #: Degree cap of complex_roots.
 MAX_DEGREE = 600
@@ -61,6 +82,8 @@ class RootBracket:
     hi: Fraction
     sign_lo: int
     sign_hi: int
+    #: Exact sign evaluations spent on finding this bracket.
+    exact_signs: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if not (self.lo < self.hi):
@@ -77,37 +100,62 @@ class RootBracket:
         return (self.lo + self.hi) / 2
 
 
+def _probe(k: int) -> Fraction:
+    return Fraction(4) - Fraction(1, 2 ** k)
+
+
 def bracket_near_four(family: StripFamily, n: int) -> RootBracket:
     """Bracket the largest sign change of the strip polynomial below 4.
 
-    Probes x = 4 - 2^-k for k = 1..BRACKET_MAX_K (plus x = 4 itself, which must be
-    positive) and pairs the negative probe closest to 4 with the next
-    positive point above it.  All probes are exact rational signs.
+    Probes x = 4 - 2^-k for k = 1..BRACKET_MAX_K (plus x = 4 itself, which
+    must be positive) and pairs the negative probe closest to 4 with the
+    next positive point above it.  The sign at 4 is exact.  The probes'
+    signs are read off the float closed form (transfer.ClosedForm), and
+    exactly where it cannot tell; then the two probes that end the chosen
+    cell are evaluated exactly.  Where an exact sign differs, the cell
+    moves the way it shows and its new ends are evaluated.  With no
+    negative probe every probe is evaluated exactly before
+    NoSignChangeError.
     """
     sign_at_four = family.sign_at(n, Fraction(4))
     if sign_at_four <= 0:
         raise NonPositiveAtFourError(
             f"family value at 4 has sign {sign_at_four}; expected positive")
-    signs = {}
-    for k in range(1, BRACKET_MAX_K + 1):
-        x = Fraction(4) - Fraction(1, 2 ** k)
-        signs[k] = family.sign_at(n, x)
-    negative_ks = [k for k, s in signs.items() if s < 0]
-    if not negative_ks:
-        raise NoSignChangeError(
-            f"no negative probe down to 4 - 2^-{BRACKET_MAX_K}; "
-            "the family may have no real root that close to 4")
-    k = max(negative_ks)
-    lo = Fraction(4) - Fraction(1, 2 ** k)
+    closed = family.closed_form
+    signs = {k: closed.sign(n, 2.0 ** -k) for k in range(1, BRACKET_MAX_K + 1)}
+    exact = set()
+
+    def settle(ks):
+        for k in ks:
+            signs[k] = family.sign_at(n, _probe(k))
+            exact.add(k)
+
+    settle([k for k, s in signs.items() if s is None])
+    while True:
+        negative_ks = [k for k, s in signs.items() if s < 0]
+        if not negative_ks:
+            if len(exact) == BRACKET_MAX_K:
+                raise NoSignChangeError(
+                    f"no negative probe down to 4 - 2^-{BRACKET_MAX_K}; "
+                    "the family may have no real root that close to 4")
+            settle([k for k in signs if k not in exact])
+            continue
+        k = max(negative_ks)
+        ends = [j for j in (k, k + 1) if j in signs and j not in exact]
+        if not ends:
+            break
+        settle(ends)
+    lo = _probe(k)
     if k + 1 in signs and signs[k + 1] > 0:
-        hi, sign_hi = Fraction(4) - Fraction(1, 2 ** (k + 1)), signs[k + 1]
+        hi, sign_hi = _probe(k + 1), signs[k + 1]
     else:
         hi, sign_hi = Fraction(4), sign_at_four
-    return RootBracket(lo, hi, signs[k], sign_hi)
+    return RootBracket(lo, hi, signs[k], sign_hi, 1 + len(exact))
 
 
 def bisect(bracket: RootBracket, evaluator: Callable[[Fraction], int],
-           width: Fraction = DEFAULT_WIDTH) -> RootBracket:
+           width: Fraction = DEFAULT_WIDTH,
+           start: Tuple[Fraction, Fraction] | None = None) -> RootBracket:
     """Shrink a sign-change bracket below `width` by exact bisection.
 
     `evaluator` must return the exact sign of the probed function at a
@@ -116,26 +164,43 @@ def bisect(bracket: RootBracket, evaluator: Callable[[Fraction], int],
     mid +- width/2 with both endpoint signs evaluated; when they are not
     opposite and nonzero (say, at a root of even multiplicity) it raises
     NoSignChangeError.
+
+    `start`, when given, is a predicted interval on the way of the halving
+    (see _predicted_cell).  Its ends are evaluated; if their signs are
+    those of the bracket's ends, halving goes on from it, and otherwise
+    from the bracket.
     """
+    calls = 0
+
+    def sign(x):
+        nonlocal calls
+        calls += 1
+        return evaluator(x)
+
     lo, hi = bracket.lo, bracket.hi
     sign_lo, sign_hi = bracket.sign_lo, bracket.sign_hi
+    if start is not None:
+        a, b = start
+        if ((a == lo or sign(a) == sign_lo)
+                and (b == hi or sign(b) == sign_hi)):
+            lo, hi = a, b
     while hi - lo > width:
         mid = (lo + hi) / 2
-        s = evaluator(mid)
+        s = sign(mid)
         if s == 0:
             half = width / 2
             lo, hi = mid - half, mid + half
-            sign_lo, sign_hi = evaluator(lo), evaluator(hi)
+            sign_lo, sign_hi = sign(lo), sign(hi)
             if sign_lo * sign_hi != -1:
                 raise NoSignChangeError(
                     f"exact zero at {mid} with signs {sign_lo}, {sign_hi} "
                     f"at distance {half}; the root may have even multiplicity")
-            return RootBracket(lo, hi, sign_lo, sign_hi)
+            break
         if s == sign_lo:
             lo = mid
         else:
             hi = mid
-    return RootBracket(lo, hi, sign_lo, sign_hi)
+    return RootBracket(lo, hi, sign_lo, sign_hi, bracket.exact_signs + calls)
 
 
 def fraction_to_decimal(value: Fraction, digits: int) -> str:
@@ -165,12 +230,38 @@ class RootNearFour:
         return fraction_to_decimal(self.bracket.midpoint, self.digits)
 
 
+def _predicted_cell(family: StripFamily, n: int, bracket: RootBracket,
+                    width: Fraction) -> Tuple[Fraction, Fraction]:
+    """The interval that exact halving of `bracket` down to `width` would
+    reach, or its ancestor JUMP_DEPTH halvings down, predicted by halving
+    on the signs of the float closed form instead (stopping early at a
+    value of exactly 0).  Every midpoint is a dyadic rational with at most
+    JUMP_DEPTH + 2 significant bits below 4, so its eps = 4 - x is exact
+    in a float."""
+    closed = family.closed_form
+    lo, hi = bracket.lo, bracket.hi
+    for _ in range(JUMP_DEPTH):
+        if hi - lo <= width:
+            break
+        mid = (lo + hi) / 2
+        value = closed.value(n, float(4 - mid))[0]
+        if value == 0:
+            break
+        if (value > 0) == (bracket.sign_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def largest_root_near_four(family: StripFamily, n: int, *,
                            width: Fraction = DEFAULT_WIDTH,
                            digits: int = 10) -> RootNearFour:
-    """Bracket and bisect the real root of the n-layer strip closest to 4."""
+    """Bracket the real root of the n-layer strip closest to 4 and bisect
+    it from the cell that the closed form predicts."""
     coarse = bracket_near_four(family, n)
-    fine = bisect(coarse, lambda x: family.sign_at(n, x), width)
+    fine = bisect(coarse, lambda x: family.sign_at(n, x), width,
+                  _predicted_cell(family, n, coarse, width))
     return RootNearFour(n, fine, digits)
 
 

@@ -29,8 +29,8 @@ from typing import List
 
 from .chromatic import PartitionVector
 from .exactnum import IntPolynomial, QuadExt, dot, quad_mul, sqrt_rational
-from .transfer import (CHAR_B1, CHAR_B2, build_MD, gluing_weight_values,
-                       gluing_weights)
+from .transfer import (CHAR_B1, CHAR_B2, _at_four_minus_eps, build_MD,
+                       gluing_weight_values, gluing_weights)
 
 #: Left end of the admissible evaluation interval: 181/50 = 3.62 exceeds
 #: 2 + golden ratio ~ 3.618, so (GUARD_LO, 4) sits inside the interval on
@@ -259,14 +259,6 @@ def second_projection_at(q: PartitionVector, x: Fraction) -> QuadExt:
 #: eps-order of the 2x2 determinant that fixes v2 = (a, b, b, -1); it is
 #: also the order of the common denominator w, since D(4) is regular.
 _DET_ORDER = 2
-
-
-def _at_four_minus_eps(p: IntPolynomial, n: int | None = None) -> list:
-    """Coefficients of p(4 - eps) in eps, constant term first: all of them,
-    or the first n (padded with zeros)."""
-    cs = [-c if i & 1 else c
-          for i, c in enumerate(p.taylor_shift(4).coefficients)]
-    return cs if n is None else (cs + [0] * n)[:n]
 
 
 def _series_mul(a: list, b: list) -> list:

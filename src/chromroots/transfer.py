@@ -13,11 +13,14 @@ strip head per end pair (X(1..4) and the recurrence's modulus), then take
 the recurrence by integer square-and-multiply pointwise (_power_mod, kept
 apart from exactnum.power for its symmetric squaring and shift-multiply).
 TransferMatrix.power, exactnum.power on 4x4 products, remains the path that
-tests compare against.
+tests compare against.  The strip head also holds the family's closed form
+near 4 from the recurrence's eigenvalues (ClosedForm), in floats, whose
+signs roots.bracket_near_four and roots.bisect check exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -140,8 +143,9 @@ def extend_one_layer(q: PartitionVector) -> PartitionVector:
 @lru_cache(maxsize=16)  # every pair of the four bundled fixtures
 def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     """X(1..4) of the strip with ends A and B, by gluing and layer
-    extension, and the low coefficients (constant first) of a monic
-    annihilator of the sequence X(2), X(3), ..., all as IntPolynomials.
+    extension, the low coefficients (constant first) of a monic
+    annihilator of the sequence X(2), X(3), ..., all as IntPolynomials,
+    and the ClosedForm of the family near 4.
 
     By Cayley-Hamilton the cubic (s - 2)(s^2 + CHAR_B1 s + CHAR_B2)
     annihilates the sequence from n = 2 on.  The residual
@@ -153,12 +157,13 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     for _ in range(3):
         grown.append(extend_one_layer(grown[-1]))
     xs = tuple(glue(qa, q) for q in grown)
-    if not (xs[3] + CHAR_B1 * xs[2] + CHAR_B2 * xs[1]):
+    residual = xs[3] + CHAR_B1 * xs[2] + CHAR_B2 * xs[1]
+    if not residual:
         low = (CHAR_B2, CHAR_B1)
     else:
         low = (-2 * CHAR_B2, CHAR_B2 - 2 * CHAR_B1,
                CHAR_B1 - IntPolynomial.constant(2))
-    return xs, low
+    return xs, low, ClosedForm(xs, residual)
 
 
 def family_polynomial(qa: PartitionVector, qb: PartitionVector,
@@ -171,7 +176,7 @@ def family_polynomial(qa: PartitionVector, qb: PartitionVector,
     """
     if n < 1:
         raise ValueError("strip length must be >= 1")
-    xs, low = _strip_head(qa, qb)
+    xs, low, _ = _strip_head(qa, qb)
     if n <= 4:
         return xs[n - 1]
     window = list(xs[4 - len(low):])
@@ -222,7 +227,7 @@ def family_value_at(qa: PartitionVector, qb: PartitionVector, n: int,
     if n < 1:
         raise ValueError("strip length must be >= 1")
     x = Fraction(x)
-    xs, low = _strip_head(qa, qb)
+    xs, low, _ = _strip_head(qa, qb)
     if n <= 4:
         return xs[n - 1].eval_fraction(x)
     a, b = x.numerator, x.denominator
@@ -263,6 +268,131 @@ class StripFamily:
 
     def sign_at(self, n: int, x: Fraction) -> int:
         return family_sign_at(self.qa, self.qb, n, x)
+
+    @property
+    def closed_form(self) -> ClosedForm:
+        return _strip_head(self.qa, self.qb)[2]
+
+
+# ----------------------------------------------------------------------------
+# The closed form near 4, in floats
+# ----------------------------------------------------------------------------
+
+#: A float sign of the closed form is trusted only when the value exceeds
+#: its rounding error bound SIGN_SAFETY times over.
+SIGN_SAFETY = 2 ** 10
+
+
+def _at_four_minus_eps(p: IntPolynomial, n: int | None = None) -> list:
+    """Coefficients of p(4 - eps) in eps, constant term first: all of them,
+    or the first n (padded with zeros)."""
+    cs = [-c if i & 1 else c
+          for i, c in enumerate(p.taylor_shift(4).coefficients)]
+    return cs if n is None else (cs + [0] * n)[:n]
+
+
+def _horner(cs: tuple, eps: float) -> tuple:
+    """(p(eps), sum_i |c_i| eps^i) in floats for coefficients cs, constant
+    first; the rounding error of the first is at most 2 (deg p + 1) 2^-53
+    times the second."""
+    value = size = 0.0
+    for c in reversed(cs):
+        value = value * eps + c
+        size = size * eps + abs(c)
+    return value, size
+
+
+class ClosedForm:
+    """The strip family at x = 4 - eps, 0 < eps <= 1/2, in Python floats,
+    from its eigenvalues instead of from powers.
+
+    With eps = 4 - x, CHAR_B1 = -4 + eps beta(eps) and the discriminant of
+    the quadratic factor CHAR_B1^2 - 4 CHAR_B2 = eps^2 Dt(eps), where
+    Dt = 9 - 32 eps + 56 eps^2 - ..., its roots are
+    mu+- = 2 + eps (+-sqrt(Dt) - beta) / 2, and mu+ - mu- = eps sqrt(Dt)
+    has no cancellation.  On 0 < eps <= 1/2, Dt > 0 and mu+ > 0, so both
+    roots are real; mu- < 0 from about eps = 0.39.
+
+    The terms of X(n) = B+ mu+^m + B- mu-^m (m = n - 2) cancel ever more
+    as eps -> 0, so they are regrouped: with rho = mu- / mu+,
+
+        2 X(n) / mu+^m = X(2) (1 + rho^m) + G (1 - rho^m) / (eps sqrt(Dt)),
+
+    G = 2 X(3) + CHAR_B1 X(2), where 1 - rho^m = -expm1(m log1p(-eps
+    sqrt(Dt) / mu+)).  Every quantity is bounded, so nothing overflows at
+    any n.  The cubic modulus (non-planar ends) adds A 2^m with
+    A = r / c, r = X(4) + CHAR_B1 X(3) + CHAR_B2 X(2) and
+    c = 4 + 2 CHAR_B1 + CHAR_B2 > 0 on the interval (c = eps^2 (40 - ...));
+    then c X(n) is used, with X(2), X(3) replaced by c X(2) - r and
+    c X(3) - 2 r, and the sum is divided by max(mu+, 2)^m instead.
+
+    The polynomials in eps come from exact integer Taylor shifts at 4 of
+    the strip head; the head polynomials are never evaluated in floats at
+    x near 4, where they cancel catastrophically.
+    """
+
+    def __init__(self, xs: tuple, residual: IntPolynomial):
+        b1, b2, x1, x2, x3, r = (IntPolynomial(_at_four_minus_eps(p)) for p in
+                                 (CHAR_B1, CHAR_B2, *xs[:3], residual))
+        self.cubic = bool(residual)
+        if self.cubic:
+            c = IntPolynomial.constant(4) + 2 * b1 + b2
+            x2, x3 = x2 * c - r, x3 * c - 2 * r
+        discriminant = b1 * b1 - 4 * b2
+        polys = (x1, x2, 2 * x3 + b1 * x2, r,
+                 IntPolynomial(discriminant.coefficients[2:]),
+                 IntPolynomial(b1.coefficients[1:]))
+        try:
+            self._polys = tuple(tuple(map(float, p.coefficients))
+                                for p in polys)
+        except OverflowError:   # coefficients beyond the float range
+            self._polys = None
+        # Horner's rule and the dozen float operations after it.
+        degree = max(p.degree for p in polys)
+        self.margin = SIGN_SAFETY * (2 * degree + 20) * 2.0 ** -53
+
+    def value(self, n: int, eps: float) -> tuple:
+        """(v, size): v has the sign of X(n)(4 - eps), and its rounding
+        error is below margin / SIGN_SAFETY times size, the sum of the
+        magnitudes (polynomial terms in absolute value) that v is computed
+        from; (0, inf) when the coefficients exceed the float range.
+        Requires 0 < eps <= 1/2."""
+        if self._polys is None:
+            return 0.0, math.inf
+        x1, x2, g, r, dt, beta = self._polys
+        if n == 1:
+            return _horner(x1, eps)
+        (x2, size2), (g, size_g), (r, size_r) = (
+            _horner(x2, eps), _horner(g, eps), _horner(r, eps))
+        root = eps * math.sqrt(_horner(dt, eps)[0])   # mu+ - mu-
+        shift = eps * _horner(beta, eps)[0]           # CHAR_B1 + 4
+        m = n - 2
+        mu_plus = 2 + (root - shift) / 2
+        mu_minus = 2 - (root + shift) / 2
+        if mu_minus > 0:
+            t = m * math.log1p(-root / mu_plus)
+            rho_m, rest = math.exp(t), -math.expm1(t)
+        else:
+            rho_m = (mu_minus / mu_plus) ** m
+            rest = 1 - rho_m
+        value = x2 * (1 + rho_m) + g * rest / root
+        size = size2 * abs(1 + rho_m) + size_g * abs(rest) / root
+        if self.cubic:
+            log_ratio = m * math.log1p((root - shift) / 4)   # log (mu+/2)^m
+            w = math.exp(-abs(log_ratio))
+            if log_ratio < 0:
+                value, size = 2 * r + w * value, 2 * size_r + w * size
+            else:
+                value, size = 2 * r * w + value, 2 * size_r * w + size
+        return value, size
+
+    def sign(self, n: int, eps: float) -> int | None:
+        """Float sign of X(n)(4 - eps), or None when the value lies within
+        margin * size of zero (see value)."""
+        value, size = self.value(n, eps)
+        if abs(value) <= self.margin * size:
+            return None
+        return 1 if value > 0 else -1
 
 
 # ----------------------------------------------------------------------------

@@ -342,3 +342,14 @@ def test_reproduce_table2_subset(capsys, monkeypatch):
                         "--max-n", "3")
     assert code == 0
     assert "table2 n=3: 3.8483432574 ref 3.8483432574 pass" in out
+
+
+def test_reproduce_tables_report_counts_exact_signs(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code, _ = run_cli(capsys, "reproduce-tables", "--only", "table3",
+                      "--max-n", "16", "--report", str(report))
+    assert code == 0
+    rows = json.loads(report.read_text())["table3"]["rows"]
+    assert [row["n"] for row in rows] == [2, 4, 8, 16]
+    # x = 4, the two ends of the probe cell, the two ends of the jump.
+    assert [row["exact_signs"] for row in rows] == [5, 5, 5, 5]

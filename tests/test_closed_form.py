@@ -1,0 +1,192 @@
+"""The float closed form near 4 and the root path built on it, against a
+copy of the all-exact path it replaced: 48 exact probes x = 4 - 2^-k and
+plain bisection.  Brackets, signs and errors must be identical."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chromroots import transfer
+from chromroots.chromatic import PartitionVector
+from chromroots.exactnum import IntPolynomial
+from chromroots.roots import (BRACKET_MAX_K, NoSignChangeError,
+                              NonPositiveAtFourError, RootBracket,
+                              bracket_near_four, largest_root_near_four,
+                              sturm_count)
+from chromroots.tables import BY_N_ROWS, DOUBLING_ROWS
+from chromroots.transfer import (CHAR_B1, CHAR_B2, ClosedForm, StripFamily,
+                                 _at_four_minus_eps)
+
+from test_transfer import NON_PLANAR, framed_vectors
+
+# ----------------------------------------------------------------------------
+# The all-exact path: every probe and every halving an exact sign
+# ----------------------------------------------------------------------------
+
+
+def exact_scan(family, n):
+    """The largest negative probe x = 4 - 2^-k, k = 1..48, paired with the
+    next positive point above it, every sign exact."""
+    sign_at_four = family.sign_at(n, Fraction(4))
+    if sign_at_four <= 0:
+        raise NonPositiveAtFourError(
+            f"family value at 4 has sign {sign_at_four}; expected positive")
+    signs = {k: family.sign_at(n, 4 - Fraction(1, 2 ** k))
+             for k in range(1, BRACKET_MAX_K + 1)}
+    negative_ks = [k for k, s in signs.items() if s < 0]
+    if not negative_ks:
+        raise NoSignChangeError(
+            f"no negative probe down to 4 - 2^-{BRACKET_MAX_K}; "
+            "the family may have no real root that close to 4")
+    k = max(negative_ks)
+    lo = 4 - Fraction(1, 2 ** k)
+    if k + 1 in signs and signs[k + 1] > 0:
+        hi, sign_hi = 4 - Fraction(1, 2 ** (k + 1)), signs[k + 1]
+    else:
+        hi, sign_hi = Fraction(4), sign_at_four
+    return RootBracket(lo, hi, signs[k], sign_hi)
+
+
+def halving(bracket, evaluator, width):
+    """Plain exact bisection down to `width`."""
+    lo, hi = bracket.lo, bracket.hi
+    sign_lo, sign_hi = bracket.sign_lo, bracket.sign_hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s = evaluator(mid)
+        if s == 0:
+            half = width / 2
+            lo, hi = mid - half, mid + half
+            sign_lo, sign_hi = evaluator(lo), evaluator(hi)
+            if sign_lo * sign_hi != -1:
+                raise NoSignChangeError(
+                    f"exact zero at {mid} with signs {sign_lo}, {sign_hi} "
+                    f"at distance {half}; the root may have even multiplicity")
+            return RootBracket(lo, hi, sign_lo, sign_hi)
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return RootBracket(lo, hi, sign_lo, sign_hi)
+
+
+def outcome(f, *args, **kwargs):
+    """(lo, hi, sign_lo, sign_hi) of a bracket, or the error raised."""
+    try:
+        br = f(*args, **kwargs)
+    except (NoSignChangeError, NonPositiveAtFourError) as exc:
+        return type(exc).__name__, str(exc)
+    br = getattr(br, "bracket", br)
+    return br.lo, br.hi, br.sign_lo, br.sign_hi
+
+
+def assert_same_as_exact_path(family, n, width=Fraction(1, 10 ** 11)):
+    """Returns whether the exact path raised."""
+    coarse = outcome(exact_scan, family, n)
+    assert outcome(bracket_near_four, family, n) == coarse, n
+    raised = isinstance(coarse[0], str)
+    if raised:
+        expected = coarse
+    else:
+        expected = outcome(halving, RootBracket(*coarse),
+                           lambda x: family.sign_at(n, x), width)
+    assert outcome(largest_root_near_four, family, n, width=width) \
+        == expected, n
+    return raised
+
+
+# ----------------------------------------------------------------------------
+# Differential tests
+# ----------------------------------------------------------------------------
+
+LENGTHS = (*range(1, 13), 20, 33, 65)
+
+
+@pytest.fixture(scope="module")
+def fixture_pairs(q_h, q_l, q_w4, q_neg10):
+    ends = {"H": q_h, "L": q_l, "W4": q_w4, "neg10": q_neg10}
+    return [StripFamily(ends[a], ends[b], f"{a},{b}")
+            for a, b in product(ends, repeat=2)]
+
+
+def test_root_path_equals_exact_path_on_fixture_pairs(fixture_pairs):
+    raised = [assert_same_as_exact_path(family, n)
+              for family in fixture_pairs for n in LENGTHS]
+    assert 0 < sum(raised) < len(raised)   # same-class pairs: no sign change
+
+
+@pytest.mark.parametrize("digits", (0, 10, 20, 30))
+def test_root_path_equals_exact_path_at_every_precision(family_hw4, digits):
+    assert_same_as_exact_path(family_hw4, 65, Fraction(1, 10 ** (digits + 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(qa=framed_vectors, qb=framed_vectors, n=st.integers(1, 12))
+@example(qa=NON_PLANAR, qb=NON_PLANAR, n=5)
+def test_root_path_equals_exact_path_on_arbitrary_vectors(qa, qb, n):
+    assert_same_as_exact_path(StripFamily(qa, qb), n)
+
+
+def test_non_planar_pairs_take_the_cubic_closed_form(q_h, q_w4):
+    """The cubic needs both ends off the planar subspace: NON_PLANAR
+    itself (no root near 4) and H, W4 moved by +-NON_PLANAR (roots)."""
+    def moved(q, t):
+        return PartitionVector(*(p + t * u for p, u in zip(q, NON_PLANAR)))
+
+    for qa, qb in ((NON_PLANAR, NON_PLANAR), (moved(q_h, 1), moved(q_w4, -1))):
+        family = StripFamily(qa, qb)
+        assert family.closed_form.cubic
+        raised = [assert_same_as_exact_path(family, n) for n in range(1, 13)]
+        assert all(raised) == (qa is NON_PLANAR)
+
+
+# ----------------------------------------------------------------------------
+# Cost and the closed form itself
+# ----------------------------------------------------------------------------
+
+def test_table_rows_take_at_most_five_exact_signs(family_hw4, monkeypatch):
+    calls = []
+    real = transfer.family_value_at
+    monkeypatch.setattr(transfer, "family_value_at",
+                        lambda *args: calls.append(args) or real(*args))
+    rows = [(n, 10) for n in BY_N_ROWS]
+    rows += [(n + 1, 9) for n in DOUBLING_ROWS if n + 1 <= 257]
+    for strip, digits in rows:
+        calls.clear()
+        res = largest_root_near_four(family_hw4, strip, digits=digits,
+                                     width=Fraction(1, 10 ** (digits + 1)))
+        assert len(calls) <= 5, (strip, len(calls))
+        assert res.bracket.exact_signs == len(calls)
+
+
+def test_float_signs_agree_with_exact_signs(family_hw4):
+    closed = family_hw4.closed_form
+    for n in (1, 2, 3, 20, 257):
+        for k in range(1, BRACKET_MAX_K + 1):
+            s = closed.sign(n, 2.0 ** -k)
+            assert s in (None, family_hw4.sign_at(n, 4 - Fraction(1, 2 ** k)))
+
+
+def test_closed_form_has_real_eigenvalues_on_its_interval():
+    """On 0 < eps <= 1/2 (x in [7/2, 4)): CHAR_B1 < 0, so mu+ > 0; the
+    discriminant over eps^2 and 4 + 2 CHAR_B1 + CHAR_B2 over eps^2 have no
+    root, so both are positive as they are at eps = 0."""
+    b1, b2 = (IntPolynomial(_at_four_minus_eps(p)) for p in (CHAR_B1, CHAR_B2))
+    reduced = (IntPolynomial((b1 * b1 - 4 * b2).coefficients[2:]),
+               IntPolynomial((IntPolynomial.constant(4) + 2 * b1
+                              + b2).coefficients[2:]))
+    assert b1(0) < 0 and sturm_count(b1, Fraction(0), Fraction(1, 2)) == 0
+    for p in reduced:
+        assert p(0) > 0 and sturm_count(p, Fraction(0), Fraction(1, 2)) == 0
+
+
+def test_closed_form_beyond_the_float_range_defers_to_exact_signs():
+    huge = IntPolynomial((2 ** 1100, 1))
+    closed = ClosedForm((huge,) * 4, huge)
+    assert closed.value(5, 0.25) == (0.0, float("inf"))
+    assert closed.sign(5, 0.25) is None
