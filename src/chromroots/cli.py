@@ -51,10 +51,13 @@ from .transfer import (StripFamily, golden_identity_check,
                        verify_M_against_oracle)
 
 #: Caps on the pointwise options.  Every bundled table row fits: strip 513
-#: at 10 digits for root4, and 256 bits for croots.  root4 on H,W4 takes
-#: 3.0-3.4 s at strip 2049 and 4097 (2.4 s of it the engine on H) and
-#: 8.1-8.9 s at 8193 on a 2-core x86-64 machine; each doubling of n costs
-#: about 4 times the time of its 4 or 5 exact signs.
+#: at 10 digits for root4, and 256 bits for croots.  On a 2-core x86-64
+#: machine, root4 on H,W4 at 10 digits takes 3.0-3.4 s at strip 2049 and
+#: 4097 (2.4 s of it the engine on H; 8.1-8.9 s at 8193), and its root
+#: search 1.3-1.7 s at 4097 with 5 exact signs.  At 30 digits the search
+#: takes 40 s at 2049 and 173 s at 4097, with 57 exact signs: bisection
+#: below the floats' reach is exact.  Each doubling of n costs about 4
+#: times per exact sign; ball arithmetic (ROADMAP item 3) would lower that.
 MAX_POINTWISE_N = 4097
 MAX_DIGITS = 30
 MAX_BITS = 1024

@@ -123,16 +123,9 @@ class Graph:
             raise ValueError("cannot add a loop")
         return Graph(self._n, list(self._edges) + [(u, v)])
 
-    def identify_vertices(self, u: int, v: int) -> "Graph":
-        """Merge v into u; parallel edges collapse.
-
-        Raises AdjacentMergeError if u and v are adjacent (the merge would
-        create a loop, i.e. the resulting colouring count is zero).
-        """
-        return self.quotient([(u, v)])
-
     def quotient(self, pairs: Iterable[Sequence[int]]) -> "Graph":
-        """Identify each listed vertex pair simultaneously.
+        """Identify each listed vertex pair simultaneously; parallel edges
+        collapse.
 
         Raises AdjacentMergeError if any edge ends up inside one class.
         """

@@ -1,23 +1,21 @@
-"""Real-root isolation near 4 (float prediction checked by exact signs,
-exact rational bisection, Sturm certification) and a desk-scale
+"""Real-root isolation near 4 (a probe scan and bisection guided by float
+signs and certified by exact ones, Sturm certification) and a desk-scale
 multiprecision complex-root finder.
 
-The root of an n-layer strip closest to 4 is found in two steps.  The
-probe cell 4 - 2^-k .. 4 - 2^-(k+1) (or .. 4 at the last k) holding the
-largest sign change below 4 comes from the signs of the float closed form
-of the strip family (transfer.ClosedForm) at the 48 probes; a probe whose
-float value is within rounding reach of zero is evaluated exactly.  Then
-bisection halves that cell down to the requested width, first on the
-closed form's signs and then exactly.  Exact signs, at 4, at the two ends
-of the cell and at the two ends of the interval the float halving reached,
-certify what is printed: the bracket holds a sign change.  The floats
-decide which one: that no probe nearer 4 is negative, and which way each
-halving above the final interval went.  When an exact sign contradicts
-them, the cell moves or the halving starts over exactly from the cell, so
-a wrong float costs exact signs, not a wrong bracket; with no negative
-probe at all, every probe is evaluated exactly.  On H,W4 a table row takes
-5 exact signs in all, where evaluating every probe and midpoint exactly
-took 76-84.
+The root of an n-layer strip closest to 4 is found by two searches: a scan
+of the probes x = 4 - 2^-k (k = 48..1) for the negative one nearest 4, and
+bisection of the cell it ends down to the requested width.  Each runs
+first on guided signs, the float sign of the strip family's closed form
+(transfer.ClosedForm) where eps = 4 - x is a double in (0, 1/2] and the
+value is beyond rounding reach of zero, and the exact sign elsewhere.  The
+exact signs at the ends of its bracket are then taken; on a mismatch, or
+when the guided run finds no sign change, it runs again on exact signs.
+Exact signs, memoised so that no point is evaluated twice, certify that
+the bracket holds a sign change; the floats decide which one.  The scan's
+float signs are claims that nothing checks again (no probe nearer 4 is
+negative), so they must clear SIGN_SAFETY times their rounding bound;
+bisection's are guidance whose outcome is checked, and 1 times the bound
+is enough.  An H,W4 table row takes 5 exact signs; all-exact took 76-84.
 
 Sturm counts divide out the integer roots 0, 1, 2, ... first (a chromatic
 polynomial vanishes exactly at 0..chi-1, an n-layer strip at 3 with
@@ -40,19 +38,17 @@ the imaginary parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import mpmath as mp
 
 from .exactnum import IntPolynomial
-from .transfer import StripFamily
+from .transfer import SIGN_SAFETY, StripFamily
 
 BRACKET_MAX_K = 48
-#: Most halvings _predicted_cell runs on float signs: a double holds the
-#: eps = 4 - x of a point 44 halvings into a probe cell exactly.
-JUMP_DEPTH = 44
 DEFAULT_WIDTH = Fraction(1, 10 ** 11)
 #: Degree cap of complex_roots.
 MAX_DEGREE = 600
@@ -82,7 +78,7 @@ class RootBracket:
     hi: Fraction
     sign_lo: int
     sign_hi: int
-    #: Exact sign evaluations spent on finding this bracket.
+    #: Exact sign evaluations spent on finding this bracket (0 from bisect).
     exact_signs: int = field(default=0, compare=False)
 
     def __post_init__(self):
@@ -100,97 +96,103 @@ class RootBracket:
         return (self.lo + self.hi) / 2
 
 
+@lru_cache(maxsize=None)
 def _probe(k: int) -> Fraction:
     return Fraction(4) - Fraction(1, 2 ** k)
+
+
+class _Signs:
+    """Signs of the n-layer strip polynomial: exact ones, memoised in
+    `exact_at`, and guided ones (see the module docstring), whose float
+    value must exceed `margin` times its size (transfer.ClosedForm.value).
+    """
+
+    def __init__(self, family: StripFamily, n: int):
+        self.family, self.n = family, n
+        self.closed = family.closed_form
+        self.exact_at: Dict[Fraction, int] = {}
+
+    def exact(self, x: Fraction) -> int:
+        s = self.exact_at.get(x)
+        if s is None:
+            s = self.exact_at[x] = self.family.sign_at(self.n, x)
+        return s
+
+    def guided(self, x: Fraction, margin: float) -> int:
+        b = x.denominator
+        gap = 4 * b - x.numerator      # eps = gap / b, gap odd when b > 1
+        if not b & (b - 1) and 0 < 2 * gap <= b and gap < 2 ** 53:
+            value, size = self.closed.value(self.n, gap / b)
+            if abs(value) > margin * size:
+                return 1 if value > 0 else -1
+        return self.exact(x)
+
+    def search(self, run: Callable[[Callable[[Fraction], int]], RootBracket],
+               margin: float) -> RootBracket:
+        """run(sign) on guided signs, kept when the exact signs at its
+        bracket's ends are its signs, else run(sign) on exact signs; the
+        result counts the exact signs taken so far."""
+        try:
+            br = run(lambda x: self.guided(x, margin))
+            checked = self.exact(br.lo) == br.sign_lo == -self.exact(br.hi)
+        except NoSignChangeError:
+            checked = False
+        if not checked:
+            br = run(self.exact)
+        return replace(br, exact_signs=len(self.exact_at))
+
+    def near_four(self) -> RootBracket:
+        sign_at_four = self.exact(Fraction(4))
+        if sign_at_four <= 0:
+            raise NonPositiveAtFourError(
+                f"family value at 4 has sign {sign_at_four}; expected positive")
+        return self.search(lambda sign: _scan(sign, sign_at_four),
+                           self.closed.margin)
+
+
+def _scan(sign: Callable[[Fraction], int], sign_at_four: int) -> RootBracket:
+    hi, sign_hi = Fraction(4), sign_at_four
+    for k in range(BRACKET_MAX_K, 0, -1):
+        x = _probe(k)
+        s = sign(x)
+        if s < 0:
+            return RootBracket(x, hi, s, sign_hi)
+        hi, sign_hi = (x, s) if s > 0 else (Fraction(4), sign_at_four)
+    raise NoSignChangeError(
+        f"no negative probe down to 4 - 2^-{BRACKET_MAX_K}; "
+        "the family may have no real root that close to 4")
 
 
 def bracket_near_four(family: StripFamily, n: int) -> RootBracket:
     """Bracket the largest sign change of the strip polynomial below 4.
 
-    Probes x = 4 - 2^-k for k = 1..BRACKET_MAX_K (plus x = 4 itself, which
-    must be positive) and pairs the negative probe closest to 4 with the
-    next positive point above it.  The sign at 4 is exact.  The probes'
-    signs are read off the float closed form (transfer.ClosedForm), and
-    exactly where it cannot tell; then the two probes that end the chosen
-    cell are evaluated exactly.  Where an exact sign differs, the cell
-    moves the way it shows and its new ends are evaluated.  With no
-    negative probe every probe is evaluated exactly before
-    NoSignChangeError.
+    The exact sign at 4 must be positive.  The probe scan (see the module
+    docstring) pairs the negative probe nearest 4 with the next probe when
+    that is positive, and with 4 otherwise.
     """
-    sign_at_four = family.sign_at(n, Fraction(4))
-    if sign_at_four <= 0:
-        raise NonPositiveAtFourError(
-            f"family value at 4 has sign {sign_at_four}; expected positive")
-    closed = family.closed_form
-    signs = {k: closed.sign(n, 2.0 ** -k) for k in range(1, BRACKET_MAX_K + 1)}
-    exact = set()
-
-    def settle(ks):
-        for k in ks:
-            signs[k] = family.sign_at(n, _probe(k))
-            exact.add(k)
-
-    settle([k for k, s in signs.items() if s is None])
-    while True:
-        negative_ks = [k for k, s in signs.items() if s < 0]
-        if not negative_ks:
-            if len(exact) == BRACKET_MAX_K:
-                raise NoSignChangeError(
-                    f"no negative probe down to 4 - 2^-{BRACKET_MAX_K}; "
-                    "the family may have no real root that close to 4")
-            settle([k for k in signs if k not in exact])
-            continue
-        k = max(negative_ks)
-        ends = [j for j in (k, k + 1) if j in signs and j not in exact]
-        if not ends:
-            break
-        settle(ends)
-    lo = _probe(k)
-    if k + 1 in signs and signs[k + 1] > 0:
-        hi, sign_hi = _probe(k + 1), signs[k + 1]
-    else:
-        hi, sign_hi = Fraction(4), sign_at_four
-    return RootBracket(lo, hi, signs[k], sign_hi, 1 + len(exact))
+    return _Signs(family, n).near_four()
 
 
 def bisect(bracket: RootBracket, evaluator: Callable[[Fraction], int],
-           width: Fraction = DEFAULT_WIDTH,
-           start: Tuple[Fraction, Fraction] | None = None) -> RootBracket:
-    """Shrink a sign-change bracket below `width` by exact bisection.
+           width: Fraction = DEFAULT_WIDTH) -> RootBracket:
+    """Shrink a sign-change bracket below `width` by bisection.
 
-    `evaluator` must return the exact sign of the probed function at a
-    rational point.  The endpoint sign invariant is maintained at every
-    step.  An exact zero at a midpoint is returned as the bracket
-    mid +- width/2 with both endpoint signs evaluated; when they are not
-    opposite and nonzero (say, at a root of even multiplicity) it raises
-    NoSignChangeError.
-
-    `start`, when given, is a predicted interval on the way of the halving
-    (see _predicted_cell).  Its ends are evaluated; if their signs are
-    those of the bracket's ends, halving goes on from it, and otherwise
-    from the bracket.
+    `evaluator` returns the sign of the probed function at a rational
+    point, and the endpoint signs carried along are what it said.  An exact
+    zero at a midpoint is returned as the bracket mid +- width/2 with both
+    endpoint signs evaluated; when they are not opposite and nonzero (say,
+    at a root of even multiplicity) it raises NoSignChangeError.  bisect
+    counts no exact signs: the result's exact_signs is 0.
     """
-    calls = 0
-
-    def sign(x):
-        nonlocal calls
-        calls += 1
-        return evaluator(x)
-
     lo, hi = bracket.lo, bracket.hi
     sign_lo, sign_hi = bracket.sign_lo, bracket.sign_hi
-    if start is not None:
-        a, b = start
-        if ((a == lo or sign(a) == sign_lo)
-                and (b == hi or sign(b) == sign_hi)):
-            lo, hi = a, b
     while hi - lo > width:
         mid = (lo + hi) / 2
-        s = sign(mid)
+        s = evaluator(mid)
         if s == 0:
             half = width / 2
             lo, hi = mid - half, mid + half
-            sign_lo, sign_hi = sign(lo), sign(hi)
+            sign_lo, sign_hi = evaluator(lo), evaluator(hi)
             if sign_lo * sign_hi != -1:
                 raise NoSignChangeError(
                     f"exact zero at {mid} with signs {sign_lo}, {sign_hi} "
@@ -200,7 +202,7 @@ def bisect(bracket: RootBracket, evaluator: Callable[[Fraction], int],
             lo = mid
         else:
             hi = mid
-    return RootBracket(lo, hi, sign_lo, sign_hi, bracket.exact_signs + calls)
+    return RootBracket(lo, hi, sign_lo, sign_hi)
 
 
 def fraction_to_decimal(value: Fraction, digits: int) -> str:
@@ -230,38 +232,15 @@ class RootNearFour:
         return fraction_to_decimal(self.bracket.midpoint, self.digits)
 
 
-def _predicted_cell(family: StripFamily, n: int, bracket: RootBracket,
-                    width: Fraction) -> Tuple[Fraction, Fraction]:
-    """The interval that exact halving of `bracket` down to `width` would
-    reach, or its ancestor JUMP_DEPTH halvings down, predicted by halving
-    on the signs of the float closed form instead (stopping early at a
-    value of exactly 0).  Every midpoint is a dyadic rational with at most
-    JUMP_DEPTH + 2 significant bits below 4, so its eps = 4 - x is exact
-    in a float."""
-    closed = family.closed_form
-    lo, hi = bracket.lo, bracket.hi
-    for _ in range(JUMP_DEPTH):
-        if hi - lo <= width:
-            break
-        mid = (lo + hi) / 2
-        value = closed.value(n, float(4 - mid))[0]
-        if value == 0:
-            break
-        if (value > 0) == (bracket.sign_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def largest_root_near_four(family: StripFamily, n: int, *,
                            width: Fraction = DEFAULT_WIDTH,
                            digits: int = 10) -> RootNearFour:
-    """Bracket the real root of the n-layer strip closest to 4 and bisect
-    it from the cell that the closed form predicts."""
-    coarse = bracket_near_four(family, n)
-    fine = bisect(coarse, lambda x: family.sign_at(n, x), width,
-                  _predicted_cell(family, n, coarse, width))
+    """Bisect the bracket_near_four cell below `width`; the scan and the
+    bisection share one memo of exact signs (see the module docstring)."""
+    signs = _Signs(family, n)
+    coarse = signs.near_four()
+    fine = signs.search(lambda sign: bisect(coarse, sign, width),
+                        signs.closed.margin / SIGN_SAFETY)
     return RootNearFour(n, fine, digits)
 
 

@@ -15,7 +15,7 @@ apart from exactnum.power for its symmetric squaring and shift-multiply).
 TransferMatrix.power, exactnum.power on 4x4 products, remains the path that
 tests compare against.  The strip head also holds the family's closed form
 near 4 from the recurrence's eigenvalues (ClosedForm), in floats, whose
-signs roots.bracket_near_four and roots.bisect check exactly.
+signs guide the probe scan and bisection of roots; exact signs check them.
 """
 
 from __future__ import annotations
@@ -278,8 +278,9 @@ class StripFamily:
 # The closed form near 4, in floats
 # ----------------------------------------------------------------------------
 
-#: A float sign of the closed form is trusted only when the value exceeds
-#: its rounding error bound SIGN_SAFETY times over.
+#: A float sign of the closed form that nothing checks again (ClosedForm.sign,
+#: the probe scan of roots) is trusted only when the value exceeds its
+#: rounding error bound SIGN_SAFETY times over.
 SIGN_SAFETY = 2 ** 10
 
 

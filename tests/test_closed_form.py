@@ -132,12 +132,13 @@ def test_root_path_equals_exact_path_on_arbitrary_vectors(qa, qb, n):
     assert_same_as_exact_path(StripFamily(qa, qb), n)
 
 
+def moved(q, t):
+    return PartitionVector(*(p + t * u for p, u in zip(q, NON_PLANAR)))
+
+
 def test_non_planar_pairs_take_the_cubic_closed_form(q_h, q_w4):
     """The cubic needs both ends off the planar subspace: NON_PLANAR
     itself (no root near 4) and H, W4 moved by +-NON_PLANAR (roots)."""
-    def moved(q, t):
-        return PartitionVector(*(p + t * u for p, u in zip(q, NON_PLANAR)))
-
     for qa, qb in ((NON_PLANAR, NON_PLANAR), (moved(q_h, 1), moved(q_w4, -1))):
         family = StripFamily(qa, qb)
         assert family.closed_form.cubic
@@ -145,15 +146,29 @@ def test_non_planar_pairs_take_the_cubic_closed_form(q_h, q_w4):
         assert all(raised) == (qa is NON_PLANAR)
 
 
+def test_root_path_equals_exact_path_with_one_non_planar_end(q_h):
+    """H with H - NON_PLANAR: one planar end keeps the quadratic closed
+    form, and its roots lie near 3.624, where the float values cancel."""
+    family = StripFamily(q_h, moved(q_h, -1))
+    assert not family.closed_form.cubic
+    assert not any(assert_same_as_exact_path(family, n) for n in range(1, 13))
+
+
 # ----------------------------------------------------------------------------
 # Cost and the closed form itself
 # ----------------------------------------------------------------------------
 
-def test_table_rows_take_at_most_five_exact_signs(family_hw4, monkeypatch):
-    calls = []
+@pytest.fixture
+def calls(monkeypatch):
+    """The arguments of every exact strip evaluation, in order."""
+    seen = []
     real = transfer.family_value_at
     monkeypatch.setattr(transfer, "family_value_at",
-                        lambda *args: calls.append(args) or real(*args))
+                        lambda *args: seen.append(args) or real(*args))
+    return seen
+
+
+def test_table_rows_take_at_most_five_exact_signs(family_hw4, calls):
     rows = [(n, 10) for n in BY_N_ROWS]
     rows += [(n + 1, 9) for n in DOUBLING_ROWS if n + 1 <= 257]
     for strip, digits in rows:
@@ -162,6 +177,17 @@ def test_table_rows_take_at_most_five_exact_signs(family_hw4, monkeypatch):
                                      width=Fraction(1, 10 ** (digits + 1)))
         assert len(calls) <= 5, (strip, len(calls))
         assert res.bracket.exact_signs == len(calls)
+        assert len({args[3] for args in calls}) == len(calls), strip
+
+
+def test_float_values_near_zero_far_from_four_cost_few_exact_signs(q_h, calls):
+    """For H with H - NON_PLANAR at n = 3 the float value near the root
+    (x ~ 3.6243) is about 1e-17 of its magnitude sum.  A bisection guided
+    only by float signs beyond their rounding bound, with exact signs
+    elsewhere, isolates the root with fewer exact signs than the 39 of
+    halving on every float sign and starting over from the cell."""
+    res = largest_root_near_four(StripFamily(q_h, moved(q_h, -1)), 3)
+    assert res.bracket.exact_signs == len(calls) < 39
 
 
 def test_float_signs_agree_with_exact_signs(family_hw4):

@@ -24,18 +24,18 @@ def test_graph_basics():
         Graph(2, [(0, 5)])
 
 
-def test_identify_vertices():
+def test_quotient_of_one_pair():
     path = Graph(3, [(0, 1), (1, 2)])
-    merged = path.identify_vertices(0, 2)
+    merged = path.quotient([(0, 2)])
     assert merged.vertex_count == 2 and merged.edge_count == 1
     c4 = cycle_graph(4)
-    star = c4.identify_vertices(0, 2)
+    star = c4.quotient([(0, 2)])
     # Doubled edges collapse to the 2-star.
     assert star.vertex_count == 3 and star.edge_count == 2
     with pytest.raises(AdjacentMergeError):
-        Graph(2, [(0, 1)]).identify_vertices(0, 1)
+        Graph(2, [(0, 1)]).quotient([(0, 1)])
     with pytest.raises(ValueError):
-        path.identify_vertices(1, 1)
+        path.quotient([(1, 1)])
 
 
 def test_quotient_simultaneous():
