@@ -1,18 +1,27 @@
-"""Chromatic polynomial engine (deletion-contraction), a brute-force
-colouring-count oracle, and partitioned chromatic polynomials.
+"""Chromatic polynomials by a frontier dynamic programme over set
+partitions, a brute-force colouring-count oracle, and partitioned chromatic
+polynomials.
 
-The engine works on adjacency bitmasks and applies, in order: connected
-component factoring, simplicial-vertex peeling (which subsumes trees and
-cliques), a degree-2 series reduction, and memoised deletion-contraction
-that branches on the edge with the most common neighbours.  All arithmetic
-is exact integer polynomial arithmetic.
+The programme adds the vertices one at a time.  The frontier is the set of
+added vertices that still have a neighbour to come; a state is the pattern
+of equal colours on the frontier, as a restricted-growth tuple (the first
+vertex has class 0, and each later one an earlier class or the next new
+one), and its weight is the number of colourings of the added vertices
+with that pattern, a polynomial in the colour count x kept as a list of
+integer coefficients.  A new vertex joins a frontier class none of its
+neighbours is in, with the weight unchanged, or takes a colour not on the
+frontier, with the weight times (x - b) for b frontier classes.  Vertices
+that leave the frontier are projected out and equal patterns merged.  This
+is the set-partition transfer matrix of Salas and Sokal (J. Stat. Phys.
+104, 2001), so the work grows with the frontier's width, not with the size
+of a branching tree.
 
-The memo key of a graph comes from colour refinement (McKay, "Practical
-graph isomorphism", 1981): starting from the degrees, each vertex's colour
-is refined by the multiset of its neighbours' colours, encoded exactly as
-one integer, until the number of classes stops growing.  The key is the
-tuple of adjacency masks relabelled in (class, label) order.  Equal keys
-always mean isomorphic graphs, so the cache is sound.
+Each component starts at a vertex of least degree.  After that the next
+vertex is a neighbour of the frontier.  One whose neighbours are all added
+is taken at once: it only multiplies weights and shrinks the frontier, and
+it makes a star cost O(n) choices.  Otherwise the choice is the one that
+grows the frontier least, then has the most added neighbours, then the
+fewest unadded ones.
 
 The oracle enumerates the partitions of the vertices into independent sets
 (colourings up to a permutation of the colours) and counts x-colourings as
@@ -24,227 +33,119 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Dict
 
 from .exactnum import IntPolynomial
-from .graphs import (ColouringType, FramedGraph, Graph, _bits, _components,
+from .graphs import (ColouringType, FramedGraph, Graph, _bits,
                      type_auxiliary_graph)
 
-DEFAULT_NODE_BUDGET = 4_000_000
-DEFAULT_CACHE_LIMIT = 400_000
+DEFAULT_NODE_BUDGET = 1_000_000
 DEFAULT_ORACLE_BUDGET = 40_000_000
-
-_ONE = IntPolynomial((1,))
 
 
 class ResourceLimitError(RuntimeError):
-    """A computation exceeded its configured node budget."""
+    """A computation exceeded its configured budget."""
 
 
-def _remove_vertex(masks: tuple, v: int) -> tuple:
-    low = (1 << v) - 1
-    out = []
-    for w, m in enumerate(masks):
-        if w == v:
-            continue
-        out.append((m & low) | ((m >> (v + 1)) << v))
-    return tuple(out)
+def _next_vertex(masks: tuple, added: int, frontier: list, starts) -> int:
+    """The next vertex to add (see the module docstring); `starts` is an
+    iterator over the vertices in order of degree."""
+    reach = 0
+    for f in frontier:
+        reach |= masks[f]
+    reach &= ~added
+    if not reach:
+        return next(v for v in starts if not added >> v & 1)
+    on_frontier = sum(1 << f for f in frontier)
+    best = None
+    while reach:
+        low = reach & -reach
+        reach ^= low
+        v = low.bit_length() - 1
+        after = added | low
+        unadded = masks[v] & ~after
+        if not unadded:
+            return v
+        grow = 1 - sum(not masks[f] & ~after
+                       for f in _bits(masks[v] & on_frontier))
+        key = (grow, -(masks[v] & added).bit_count(), unadded.bit_count(), v)
+        if best is None or key < best:
+            best = key
+    return best[-1]
 
 
-def _delete_edge(masks: tuple, u: int, v: int) -> tuple:
-    out = list(masks)
-    out[u] &= ~(1 << v)
-    out[v] &= ~(1 << u)
-    return tuple(out)
+def _times_linear(w: list, b: int) -> list:
+    """Coefficients of (x - b) w(x)."""
+    return [hi - b * lo for hi, lo in zip([0] + w, w + [0])]
 
 
-def _contract_edge(masks: tuple, u: int, v: int) -> tuple:
-    """Merge v into u (collapsing parallel edges) and drop index v."""
-    bu, bv = 1 << u, 1 << v
-    out = list(masks)
-    out[u] = (out[u] | out[v]) & ~bu & ~bv
-    for w in _bits(out[v]):
-        if w != u:
-            out[w] |= bu
-    for w in range(len(out)):
-        out[w] &= ~bv
-    return _remove_vertex(tuple(out), v)
+def _restricted_growth(pattern: list) -> tuple:
+    names: Dict[int, int] = {}
+    return tuple([names.setdefault(c, len(names)) for c in pattern])
 
 
-def _induced(masks: tuple, verts: tuple) -> tuple:
-    index = {v: i for i, v in enumerate(verts)}
-    out = []
-    for v in verts:
-        m = 0
-        for u in _bits(masks[v]):
-            i = index.get(u)
-            if i is not None:
-                m |= 1 << i
-        out.append(m)
-    return tuple(out)
-
-
-def _canonical_key(masks: tuple) -> tuple:
-    """Isomorphism-aware cache key: the adjacency masks relabelled by
-    colour-refined classes, ties broken by incoming label.
-
-    Colours start as degrees.  Each round encodes a vertex's own colour and
-    the multiset of its neighbours' colours as one integer (colour c weighs
-    2^(c * n.bit_length()), wide enough that no count carries) and ranks
-    the codes; refinement stops when the class count stops growing or
-    reaches n.  Equal keys always mean isomorphic graphs, so the cache is
-    sound; distinct keys for isomorphic graphs merely cost a cache miss."""
-    n = len(masks)
-    nbrs = list(map(_bits, masks))
-    colours = [m.bit_count() for m in masks]
-    classes = len(set(colours))
-    shift = n.bit_length()
-    top = n * shift
-    weights = [1 << (c * shift) for c in range(n)]
-    while classes < n:
-        weight_of = list(map(weights.__getitem__, colours)).__getitem__
-        codes = [(c << top) + sum(map(weight_of, nb))
-                 for c, nb in zip(colours, nbrs)]
-        ranked = sorted(set(codes))
-        if len(ranked) == classes:
-            break
-        classes = len(ranked)
-        colours = list(map(dict(zip(ranked, range(classes))).__getitem__, codes))
-    order = sorted(range(n), key=colours.__getitem__)
-    place = [0] * n
-    for i, v in enumerate(order):
-        place[v] = 1 << i
-    bit = place.__getitem__
-    return tuple([sum(map(bit, nbrs[v])) for v in order])
-
-
-class _Engine:
-    __slots__ = ("budget", "nodes", "cache")
-
-    def __init__(self, node_budget: int, cache: Dict | None):
-        self.budget = node_budget
-        self.nodes = 0
-        self.cache = cache if cache is not None else {}
-
-    def poly(self, masks: tuple) -> IntPolynomial:
-        if not masks:
-            return _ONE
-        comps = _components(masks)
-        if len(comps) == 1:
-            return self._connected(masks)
-        result = _ONE
-        for comp in comps:
-            result = result * self._connected(_induced(masks, comp))
-        return result
-
-    def _connected(self, masks: tuple) -> IntPolynomial:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise ResourceLimitError(
-                f"deletion-contraction node budget ({self.budget}) exceeded")
-
-        # Peel simplicial vertices (neighbourhood is a clique); each one
-        # contributes a factor (x - deg).  Trees and cliques peel away
-        # completely.  Simplicial vertices are never cut vertices, so the
-        # remainder stays connected.
-        linear_factors: Dict[int, int] = {}
-        while True:
-            n = len(masks)
-            if n == 0:
-                break
-            if n == 1:
-                linear_factors[0] = linear_factors.get(0, 0) + 1
-                masks = ()
-                break
-            peeled = None
-            for v in range(n):
-                mv = masks[v]
-                clique = True
-                for u in _bits(mv):
-                    if (mv & ~(1 << u)) & ~masks[u]:
-                        clique = False
-                        break
-                if clique:
-                    peeled = v
-                    break
-            if peeled is None:
-                break
-            d = masks[peeled].bit_count()
-            linear_factors[d] = linear_factors.get(d, 0) + 1
-            masks = _remove_vertex(masks, peeled)
-
-        if masks:
-            core = self._core(masks)
-        else:
-            core = _ONE
-        for c, mult in linear_factors.items():
-            core = core * (IntPolynomial((-c, 1)) ** mult)
-        return core
-
-    def _core(self, masks: tuple) -> IntPolynomial:
-        """Connected graph with no simplicial vertices (so min degree >= 2
-        and at least one vertex pair to branch on)."""
-        key = _canonical_key(masks)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-
-        n = len(masks)
-        # Degree-2 vertex with non-adjacent neighbours u, w:
-        #   P(G) = (x-2) P(G - v + uw) + (x-1) P((G - v) / uw)
-        # splitting colourings of G - v by whether u and w share a colour.
-        reduced = None
-        for v in range(n):
-            if masks[v].bit_count() == 2:
-                u, w = _bits(masks[v])
-                rest = _remove_vertex(masks, v)
-                u -= u > v
-                w -= w > v
-                joined = list(rest)
-                joined[u] |= 1 << w
-                joined[w] |= 1 << u
-                p_neq = self.poly(tuple(joined))
-                p_eq = self.poly(_contract_edge(tuple(joined), u, w))
-                reduced = IntPolynomial((-2, 1)) * p_neq + IntPolynomial((-1, 1)) * p_eq
-                break
-
-        if reduced is None:
-            # Branch on the edge with the most common neighbours: both the
-            # deletion and the contraction collapse triangles fastest there.
-            best = (-1, -1, 0, 0)
-            for v in range(n):
-                mv = masks[v]
-                for u in _bits(mv):
-                    if u <= v:
-                        continue
-                    cn = (mv & masks[u]).bit_count()
-                    score = (cn, mv.bit_count() + masks[u].bit_count())
-                    if score > best[:2]:
-                        best = (cn, score[1], v, u)
-            v, u = best[2], best[3]
-            reduced = self.poly(_delete_edge(masks, v, u)) \
-                - self.poly(_contract_edge(masks, v, u))
-
-        if len(self.cache) < DEFAULT_CACHE_LIMIT:
-            self.cache[key] = reduced
-        return reduced
+def _frontier_dp(masks: tuple, budget: int) -> list:
+    """Coefficients of the chromatic polynomial of the graph with these
+    adjacency bitmasks (see the module docstring)."""
+    starts = iter(sorted(range(len(masks)), key=lambda v: masks[v].bit_count()))
+    added = 0
+    frontier: list = []
+    states: Dict[tuple, list] = {(): [1]}
+    created = 0
+    for _ in masks:
+        v = _next_vertex(masks, added, frontier, starts)
+        added |= 1 << v
+        adjacent = [i for i, f in enumerate(frontier) if masks[v] >> f & 1]
+        kept = [i for i, f in enumerate(frontier) if masks[f] & ~added]
+        frontier = [frontier[i] for i in kept]
+        stays = bool(masks[v] & ~added)
+        if stays:
+            frontier.append(v)
+        merged: Dict[tuple, list] = {}
+        for pattern, w in states.items():
+            forbidden = {pattern[i] for i in adjacent}
+            rest = [pattern[i] for i in kept]
+            if stays:
+                b = max(pattern, default=-1) + 1
+                moves = [(rest + [c], w) for c in range(b) if c not in forbidden]
+                moves.append((rest + [b], _times_linear(w, b)))
+            else:
+                # v leaves at once: its colour is any of the x colours but
+                # those of its neighbours.
+                moves = [(rest, _times_linear(w, len(forbidden)))]
+            for pattern_after, weight in moves:
+                key = _restricted_growth(pattern_after)
+                old = merged.get(key)
+                if old is None:
+                    created += 1
+                    if created > budget:
+                        raise ResourceLimitError(
+                            f"frontier state budget ({budget}) exceeded")
+                    merged[key] = weight
+                else:
+                    merged[key] = [a + c for a, c in
+                                   zip_longest(old, weight, fillvalue=0)]
+        states = merged
+    (weight,) = states.values()
+    return weight
 
 
 def chromatic_polynomial(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET,
                          cache: Dict | None = None) -> IntPolynomial:
     """Exact chromatic polynomial of a simple graph.
 
-    Raises ResourceLimitError if the recursion exceeds `node_budget` or
-    the interpreter's recursion limit.  A shared `cache` dict may be passed
-    in to amortise related runs.
+    Raises ResourceLimitError when the frontier programme would create
+    more than `node_budget` states.  A `cache` dict, keyed by the graph's adjacency
+    masks, may be passed in to share results between calls.
     """
-    engine = _Engine(node_budget, cache)
-    try:
-        return engine.poly(g.adjacency_masks())
-    except RecursionError:
-        # Sound to abandon: the memo only ever holds finished results.
-        raise ResourceLimitError("deletion-contraction recursion exceeded "
-                                 "Python's depth limit") from None
+    masks = g.adjacency_masks()
+    if cache is not None and masks in cache:
+        return cache[masks]
+    p = IntPolynomial(_frontier_dp(masks, node_budget))
+    if cache is not None:
+        cache[masks] = p
+    return p
 
 
 # ----------------------------------------------------------------------------
@@ -386,7 +287,6 @@ def partitioned_chromatic(fg: FramedGraph, *,
     identifies equal-colour frame pairs and joins unequal ones; a type whose
     identification collapses an edge contributes the zero polynomial.
     """
-    shared = cache if cache is not None else {}
     parts = []
     for t in ColouringType:
         aux = type_auxiliary_graph(fg, t)
@@ -394,5 +294,5 @@ def partitioned_chromatic(fg: FramedGraph, *,
             parts.append(IntPolynomial.zero())
         else:
             parts.append(chromatic_polynomial(aux, node_budget=node_budget,
-                                              cache=shared))
+                                              cache=cache))
     return PartitionVector(*parts)

@@ -23,7 +23,7 @@ croots strip's vertex count (its degree) <= roots.MAX_DEGREE,
 verify-golden --n or --max-n (not both) <= MAX_GOLDEN_N and
 reproduce-tables --max-n <= MAX_TABLE_N.  croots runs each stage of its
 root iteration for at most roots.MAX_SWEEPS sweeps.  Every subcommand that
-runs the deletion-contraction engine (all but verify-M) takes
+runs the chromatic polynomial engine (all but verify-M) takes
 --node-budget, at most MAX_NODE_BUDGET.
 """
 
@@ -67,12 +67,14 @@ MAX_BITS = 1024
 MAX_SYMBOLIC_N = 512
 #: Cap on verify-golden --n and --max-n.
 MAX_GOLDEN_N = 128
-#: Cap on --node-budget: ten times the default.  H needs 30,556 engine
-#: nodes and 2.3 s on a 2-core x86-64 machine (about 13,000 nodes/s), so
-#: the default budget stands for about 5 minutes of engine work and the cap
-#: for about 50.  Memory does not grow with the budget: the memo holds at
-#: most chromatic.DEFAULT_CACHE_LIMIT entries.
-MAX_NODE_BUDGET = 10 * DEFAULT_NODE_BUDGET
+#: Cap on --node-budget, in frontier states.  H needs 1,968 states and
+#: 0.02 s.  On random graphs of 25-200 vertices a state takes 0.3-1.2 KB
+#: at the peak and the engine creates 60,000-200,000 states/s, on a 2-core
+#: x86-64 machine: the default of 1,000,000 ran out after 3.6-6.7 s at
+#: 280-450 MB, and this cap after 24 s at 1.7 GB on the densest (150
+#: vertices, edge probability 0.9).  A state grows with the frontier's
+#: width and the vertex count.
+MAX_NODE_BUDGET = 1_500_000
 #: Cap on reproduce-tables --max-n: the largest row of either table.
 MAX_TABLE_N = max(BY_N_ROWS + DOUBLING_ROWS)
 
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def node_budget(p):
         p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                       help="deletion-contraction node cap, at most "
+                       help="frontier state cap, at most "
                             f"{MAX_NODE_BUDGET}")
 
     def common(p, engine=True):

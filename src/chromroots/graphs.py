@@ -4,7 +4,7 @@ operations, a text file format, and the bundled end-graph fixtures.
 Vertices are 0..n-1.  Graphs are immutable: every surgery operation
 (edge addition, vertex identification, gluing) returns a new Graph.
 Adjacency is one bitmask per vertex; the mask walkers here (set bits,
-connected components) serve Graph and the deletion-contraction engine.
+connected components) serve Graph and the chromatic polynomial engine.
 """
 
 from __future__ import annotations
@@ -47,9 +47,11 @@ def _components(masks: tuple) -> list:
     return comps
 
 
-#: Cap on the vertex count of a graph file.  `chromroots poly` takes 2.7-2.9 s
-#: on a 2000-vertex path or star (0.4 s on 2000 isolated vertices) and 8-9 s
-#: on a 3000-vertex one, on a 2-core x86-64 machine.
+#: Cap on the vertex count of a graph file.  `chromroots poly` takes 0.5 s
+#: on a 2000-vertex path or star and 0.3 s on 2000 isolated vertices, on a
+#: 2-core x86-64 machine; the engine alone takes 0.8 s on a 2000-vertex
+#: cycle or a 3000-vertex path or star.  Wide graphs cost far more (see
+#: cli.MAX_NODE_BUDGET).
 MAX_VERTICES = 2000
 
 

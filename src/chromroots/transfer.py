@@ -278,9 +278,10 @@ class StripFamily:
 # The closed form near 4, in floats
 # ----------------------------------------------------------------------------
 
-#: A float sign of the closed form that nothing checks again (ClosedForm.sign,
-#: the probe scan of roots) is trusted only when the value exceeds its
-#: rounding error bound SIGN_SAFETY times over.
+#: A float sign of the closed form that nothing checks again (the probe scan
+#: of roots, which reads ClosedForm.value against ClosedForm.margin) is
+#: trusted only when the value exceeds its rounding error bound SIGN_SAFETY
+#: times over.
 SIGN_SAFETY = 2 ** 10
 
 
@@ -386,14 +387,6 @@ class ClosedForm:
             else:
                 value, size = 2 * r * w + value, 2 * size_r * w + size
         return value, size
-
-    def sign(self, n: int, eps: float) -> int | None:
-        """Float sign of X(n)(4 - eps), or None when the value lies within
-        margin * size of zero (see value)."""
-        value, size = self.value(n, eps)
-        if abs(value) <= self.margin * size:
-            return None
-        return 1 if value > 0 else -1
 
 
 # ----------------------------------------------------------------------------

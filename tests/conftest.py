@@ -1,6 +1,5 @@
 """Shared fixtures: the bundled end-graphs and their partitioned chromatic
-polynomials are expensive enough (seconds for the 16-vertex one) that they
-are computed once per session."""
+polynomials, computed once per session."""
 
 from __future__ import annotations
 

@@ -1,16 +1,16 @@
-"""Deletion-contraction engine, brute-force oracle, partitioned chromatic
+"""Frontier engine, brute-force oracle, partitioned chromatic
 polynomials."""
 
 import json
 import random
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromroots.chromatic import (DEFAULT_NODE_BUDGET, PartitionVector,
-                                  ResourceLimitError, _Engine, _canonical_key,
+from chromroots.chromatic import (PartitionVector, ResourceLimitError,
                                   chromatic_polynomial, count_colourings_by_type,
                                   count_colourings_oracle, partitioned_chromatic)
 from chromroots.cli import main
@@ -80,46 +80,35 @@ def test_engine_budget():
         chromatic_polynomial(g, node_budget=10)
 
 
-@pytest.mark.parametrize("fixture,entries,nodes", [
-    ("W4", 0, 4), ("L", 54, 112), ("neg10", 154, 312), ("H", 15_276, 30_556)])
-def test_engine_counters(fixture, entries, nodes):
-    # partitioned_chromatic's four engine runs, one shared cache.  A weaker
-    # cache key stores more entries; a changed branch order visits other
-    # nodes.
+@pytest.mark.parametrize("fixture,states", [
+    ("W4", (3, 4, 4, 5)), ("L", (7, 12, 12, 23)), ("neg10", (11, 15, 18, 20)),
+    ("H", (245, 624, 294, 805))], ids=["W4", "L", "neg10", "H"])
+def test_engine_state_counts(fixture, states):
+    # The frontier states created for each type's auxiliary graph: the
+    # engine finishes on that budget and stops one state short of it.  A
+    # changed vertex order or state encoding creates other counts.
     fg = load_fixture(fixture)
-    cache, visited, parts = {}, 0, []
-    for t in ColouringType:
+    parts = []
+    for t, count in zip(ColouringType, states):
         aux = type_auxiliary_graph(fg, t)
-        if aux is None:
-            parts.append(IntPolynomial.zero())
-            continue
-        engine = _Engine(DEFAULT_NODE_BUDGET, cache)
-        parts.append(engine.poly(aux.adjacency_masks()))
-        visited += engine.nodes
-    assert (len(cache), visited) == (entries, nodes)
+        parts.append(chromatic_polynomial(aux, node_budget=count))
+        with pytest.raises(ResourceLimitError):
+            chromatic_polynomial(aux, node_budget=count - 1)
     expected = (reference_partition_components() if fixture == "H"
                 else partitioned_chromatic(fg))
     assert tuple(parts) == tuple(expected)
 
 
-def _stable_class_count(g: Graph) -> int:
-    """Classes of colour refinement from the degrees (reference version:
-    signatures are sorted tuples of neighbour colours)."""
-    masks = g.adjacency_masks()
-    nbrs = [[u for u in range(g.vertex_count) if m >> u & 1] for m in masks]
-    colours = [len(nb) for nb in nbrs]
-    while True:
-        sigs = [(colours[v], tuple(sorted(colours[u] for u in nb)))
-                for v, nb in enumerate(nbrs)]
-        ranks = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        refined = [ranks[sig] for sig in sigs]
-        if len(ranks) == len(set(colours)):
-            return len(ranks)
-        colours = refined
+def test_engine_cache_is_keyed_by_the_whole_graph():
+    cache = {}
+    q = partitioned_chromatic(load_fixture("H"), cache=cache)
+    assert len(cache) == 4
+    assert partitioned_chromatic(load_fixture("H"), cache=cache,
+                                 node_budget=1) == q
 
 
 @st.composite
-def small_graphs(draw):
+def graphs_up_to_ten(draw):
     n = draw(st.integers(1, 10))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs),
@@ -128,19 +117,38 @@ def small_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(g=small_graphs(), data=st.data())
-def test_canonical_key_sound_and_canonical(g, data):
-    key = _canonical_key(g.adjacency_masks())
-    decoded = Graph(len(key), [(v, u) for v, m in enumerate(key)
-                               for u in range(len(key)) if m >> u & 1])
-    # Soundness: the key is the graph itself, relabelled.
-    assert decoded.edge_count == g.edge_count
-    assert chromatic_polynomial(decoded) == chromatic_polynomial(g)
-    # Canonicity: with one vertex per refined class, no label breaks a tie.
+@given(g=graphs_up_to_ten(), data=st.data())
+def test_engine_matches_oracle_and_relabelling(g, data):
+    # n + 1 values fix a polynomial of degree n.
+    p = chromatic_polynomial(g)
+    assert p.degree == g.vertex_count
+    for x in range(g.vertex_count + 1):
+        assert p(x) == count_colourings_oracle(g, x)
     perm = data.draw(st.permutations(range(g.vertex_count)))
-    relabelled_key = _canonical_key(g.relabelled(perm).adjacency_masks())
-    if _stable_class_count(g) == g.vertex_count:
-        assert relabelled_key == key
+    assert chromatic_polynomial(g.relabelled(perm)) == p
+
+
+def test_engine_long_cycle_and_path():
+    x_minus_1 = IntPolynomial([-1, 1])
+    assert chromatic_polynomial(cycle_graph(1000)) == \
+        x_minus_1 ** 1000 + x_minus_1
+    path = Graph(2000, [(v, v + 1) for v in range(1999)])
+    assert chromatic_polynomial(path) == IntPolynomial([0, 1]) * x_minus_1 ** 1999
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, v) for v in range(1, 2000)],
+    [(v, v + 1) for v in range(1999)],
+    [],
+], ids=["star", "path", "isolated"])
+def test_engine_on_2000_vertices_is_linear(edges):
+    # One state per vertex, and well inside the 2.2-2.9 s that the
+    # deletion-contraction engine took on a 2-core x86-64 machine.
+    g = Graph(2000, edges)
+    start = time.perf_counter()
+    p = chromatic_polynomial(g, node_budget=2000)
+    assert time.perf_counter() - start < 2.2
+    assert p.degree == 2000 and p(2) == (2 if edges else 2 ** 2000)
 
 
 def test_oracle_agreement():

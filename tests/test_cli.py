@@ -2,6 +2,7 @@
 codes."""
 
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -53,13 +54,17 @@ def test_json_output_deterministic(capsys):
     assert first == second
 
 
-def test_poly_too_deep_for_the_engine_is_a_resource_limit(tmp_path, capsys):
+def test_poly_of_a_500_cycle(tmp_path, capsys):
     path = tmp_path / "c500.graph"
     path.write_text("vertices 500\n"
                     + "".join(f"edge {v} {(v + 1) % 500}\n" for v in range(500)))
-    assert main(["poly", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    code, out = run_cli(capsys, "poly", str(path), "--format", "json")
+    assert code == 0
+    # (x - 1)^500 + (x - 1)
+    expected = [(-1) ** (500 - k) * math.comb(500, k) for k in range(501)]
+    expected[0] += -1
+    expected[1] += 1
+    assert json.loads(out)["coefficients"] == [str(c) for c in expected]
 
 
 def test_poly_from_file(tmp_path, capsys):

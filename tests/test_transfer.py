@@ -133,6 +133,14 @@ def test_engine_equivalence_small_strips(n, q_w4, q_neg10):
     assert front == explicit
 
 
+@pytest.mark.parametrize("end", ["H", "neg10"])
+def test_engine_equals_family_on_strips_up_to_12(end, fixture_vectors, q_w4):
+    for n in range(1, 13):
+        explicit = chromatic_polynomial(
+            double_ended_strip(load_fixture(end), wheel4(), n))
+        assert explicit == family_polynomial(fixture_vectors[end], q_w4, n), n
+
+
 def test_family_value_at_matches_symbolic(q_h, q_w4):
     for n in (1, 2, 4, 9):
         p = family_polynomial(q_h, q_w4, n)
