@@ -42,6 +42,11 @@ from .graphs import (ColouringType, FramedGraph, Graph, _bits,
 
 DEFAULT_NODE_BUDGET = 1_000_000
 DEFAULT_ORACLE_BUDGET = 40_000_000
+#: Machine words (see _words) that the states of two consecutive steps of
+#: the frontier programme may hold, whatever the node budget.  A word took
+#: at most 25 bytes at the peak on random graphs and grids, so this is
+#: about 0.4 GB (see cli.MAX_NODE_BUDGET).
+MAX_HELD_WORDS = 1 << 24
 
 
 class ResourceLimitError(RuntimeError):
@@ -52,24 +57,26 @@ def _next_vertex(masks: tuple, added: int, frontier: list, starts) -> int:
     """The next vertex to add (see the module docstring); `starts` is an
     iterator over the vertices in order of degree."""
     reach = 0
+    # closing[1 << u]: how many frontier vertices have u as their last
+    # unadded neighbour (adding u takes them off the frontier)
+    closing: Dict[int, int] = {}
     for f in frontier:
-        reach |= masks[f]
-    reach &= ~added
+        rest = masks[f] & ~added
+        reach |= rest
+        if not rest & (rest - 1):
+            closing[rest] = closing.get(rest, 0) + 1
     if not reach:
         return next(v for v in starts if not added >> v & 1)
-    on_frontier = sum(1 << f for f in frontier)
     best = None
     while reach:
         low = reach & -reach
         reach ^= low
         v = low.bit_length() - 1
-        after = added | low
-        unadded = masks[v] & ~after
+        unadded = masks[v] & ~(added | low)
         if not unadded:
             return v
-        grow = 1 - sum(not masks[f] & ~after
-                       for f in _bits(masks[v] & on_frontier))
-        key = (grow, -(masks[v] & added).bit_count(), unadded.bit_count(), v)
+        key = (1 - closing.get(low, 0), -(masks[v] & added).bit_count(),
+               unadded.bit_count(), v)
         if best is None or key < best:
             best = key
     return best[-1]
@@ -78,6 +85,12 @@ def _next_vertex(masks: tuple, added: int, frontier: list, starts) -> int:
 def _times_linear(w: list, b: int) -> list:
     """Coefficients of (x - b) w(x)."""
     return [hi - b * lo for hi, lo in zip([0] + w, w + [0])]
+
+
+def _words(pattern: tuple, w: list) -> int:
+    """Machine words a state holds: one per frontier vertex and per
+    coefficient, and one per 64 bits of its coefficients."""
+    return len(pattern) + len(w) + sum(map(int.bit_length, w)) // 64
 
 
 def _restricted_growth(pattern: list) -> tuple:
@@ -93,6 +106,7 @@ def _frontier_dp(masks: tuple, budget: int) -> list:
     frontier: list = []
     states: Dict[tuple, list] = {(): [1]}
     created = 0
+    held = 1  # words held by the states of the last step
     for _ in masks:
         v = _next_vertex(masks, added, frontier, starts)
         added |= 1 << v
@@ -103,6 +117,7 @@ def _frontier_dp(masks: tuple, budget: int) -> list:
         if stays:
             frontier.append(v)
         merged: Dict[tuple, list] = {}
+        words = 0
         for pattern, w in states.items():
             forbidden = {pattern[i] for i in adjacent}
             rest = [pattern[i] for i in kept]
@@ -119,14 +134,19 @@ def _frontier_dp(masks: tuple, budget: int) -> list:
                 old = merged.get(key)
                 if old is None:
                     created += 1
+                    words += _words(key, weight)
                     if created > budget:
                         raise ResourceLimitError(
                             f"frontier state budget ({budget}) exceeded")
+                    if held + words > MAX_HELD_WORDS:
+                        raise ResourceLimitError(
+                            f"frontier states would hold more than "
+                            f"{MAX_HELD_WORDS} words")
                     merged[key] = weight
                 else:
                     merged[key] = [a + c for a, c in
                                    zip_longest(old, weight, fillvalue=0)]
-        states = merged
+        states, held = merged, words
     (weight,) = states.values()
     return weight
 
@@ -136,8 +156,10 @@ def chromatic_polynomial(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET,
     """Exact chromatic polynomial of a simple graph.
 
     Raises ResourceLimitError when the frontier programme would create
-    more than `node_budget` states.  A `cache` dict, keyed by the graph's adjacency
-    masks, may be passed in to share results between calls.
+    more than `node_budget` states, or when the states it holds would
+    take more than MAX_HELD_WORDS machine words.  A `cache` dict, keyed by
+    the graph's adjacency masks, may be passed in to share results between
+    calls.
     """
     masks = g.adjacency_masks()
     if cache is not None and masks in cache:

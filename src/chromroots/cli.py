@@ -67,13 +67,14 @@ MAX_BITS = 1024
 MAX_SYMBOLIC_N = 512
 #: Cap on verify-golden --n and --max-n.
 MAX_GOLDEN_N = 128
-#: Cap on --node-budget, in frontier states.  H needs 1,968 states and
-#: 0.02 s.  On random graphs of 25-200 vertices a state takes 0.3-1.2 KB
-#: at the peak and the engine creates 60,000-200,000 states/s, on a 2-core
-#: x86-64 machine: the default of 1,000,000 ran out after 3.6-6.7 s at
-#: 280-450 MB, and this cap after 24 s at 1.7 GB on the densest (150
-#: vertices, edge probability 0.9).  A state grows with the frontier's
-#: width and the vertex count.
+#: Cap on --node-budget, in frontier states created.  H needs 1,968 states
+#: and 0.02 s.  Memory does not grow with the budget: the engine also stops
+#: once its states hold chromatic.MAX_HELD_WORDS words.  On a 2-core x86-64
+#: machine, seeded random graphs of 25-2000 vertices (edge probability
+#: 0.3-0.999) and a 12x160 grid, under this cap, finished or stopped on the
+#: word ceiling within 33 s, the engine adding at most 400 MB to the
+#: process; a 9x200 grid, whose states are few but carry up to 1,800
+#: coefficients, used up the default budget after 97 s at 160 MB.
 MAX_NODE_BUDGET = 1_500_000
 #: Cap on reproduce-tables --max-n: the largest row of either table.
 MAX_TABLE_N = max(BY_N_ROWS + DOUBLING_ROWS)

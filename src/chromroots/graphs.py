@@ -47,10 +47,10 @@ def _components(masks: tuple) -> list:
     return comps
 
 
-#: Cap on the vertex count of a graph file.  `chromroots poly` takes 0.5 s
-#: on a 2000-vertex path or star and 0.3 s on 2000 isolated vertices, on a
-#: 2-core x86-64 machine; the engine alone takes 0.8 s on a 2000-vertex
-#: cycle or a 3000-vertex path or star.  Wide graphs cost far more (see
+#: Cap on the vertex count of a graph file.  `chromroots poly` takes
+#: 0.5-0.8 s on a 2000-vertex path or star and 0.3-0.4 s on 2000 isolated
+#: vertices, on a shared 2-core x86-64 machine; the engine alone takes
+#: 0.8-1.6 s on a 2000-vertex cycle or a 3000-vertex path or star.  Wide graphs cost far more (see
 #: cli.MAX_NODE_BUDGET).
 MAX_VERTICES = 2000
 

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,23 @@ def test_poly_of_a_500_cycle(tmp_path, capsys):
     expected[0] += -1
     expected[1] += 1
     assert json.loads(out)["coefficients"] == [str(c) for c in expected]
+
+
+def test_poly_of_a_dense_300_vertex_graph_is_a_resource_limit(tmp_path,
+                                                              capsys):
+    # Under the default options the engine's states outgrow
+    # chromatic.MAX_HELD_WORDS long before the state budget: a one-line
+    # error within seconds, at a few hundred MB.
+    rng = random.Random(1)
+    edges = [(u, v) for u in range(300) for v in range(u + 1, 300)
+             if rng.random() < 0.95]
+    path = tmp_path / "dense.graph"
+    path.write_text("vertices 300\n"
+                    + "".join(f"edge {u} {v}\n" for u, v in edges))
+    assert main(["poly", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert "words" in err
 
 
 def test_poly_from_file(tmp_path, capsys):
