@@ -147,17 +147,22 @@ def test_engine_on_2000_vertices_is_linear(edges):
     assert p.degree == 2000 and p(2) == (2 if edges else 2 ** 2000)
 
 
-def test_engine_stops_before_its_states_hold_too_many_words(monkeypatch):
-    # The states of two steps of the engine on neg10 hold at most 104
-    # words: it finishes under that ceiling and stops one word short of it.
-    g = load_fixture("neg10").graph
-    monkeypatch.setattr(chromatic, "MAX_HELD_WORDS", 104)
-    p = chromatic_polynomial(g)
-    monkeypatch.setattr(chromatic, "MAX_HELD_WORDS", 103)
+@pytest.mark.parametrize("graph,words", [
+    (load_fixture("neg10").graph, 104),
+    # Coefficients up to C(300, 150), about 2^296, take several words.
+    (cycle_graph(300), 5136),
+], ids=["neg10", "C300"])
+def test_engine_stops_before_its_states_hold_too_many_words(monkeypatch,
+                                                            graph, words):
+    # The states of two steps of the engine hold at most `words` words: it
+    # finishes under that ceiling and stops one word short of it.
+    monkeypatch.setattr(chromatic, "MAX_HELD_WORDS", words)
+    p = chromatic_polynomial(graph)
+    monkeypatch.setattr(chromatic, "MAX_HELD_WORDS", words - 1)
     with pytest.raises(ResourceLimitError, match="words"):
-        chromatic_polynomial(g)
+        chromatic_polynomial(graph)
     monkeypatch.undo()
-    assert chromatic_polynomial(g) == p
+    assert chromatic_polynomial(graph) == p
 
 
 def test_oracle_agreement():
