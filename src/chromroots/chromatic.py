@@ -40,17 +40,22 @@ from .exactnum import IntPolynomial
 from .graphs import (ColouringType, FramedGraph, Graph, _bits,
                      type_auxiliary_graph)
 
-DEFAULT_NODE_BUDGET = 1_000_000
-DEFAULT_ORACLE_BUDGET = 40_000_000
+#: Frontier states the engine may create in one run.  H needs 1,968 states
+#: and 0.02 s.  On a 2-core x86-64 machine, seeded random graphs of
+#: 25-2000 vertices (edge probability 0.3-0.999) and a 12x160 grid finished
+#: or stopped, on this cap or on MAX_HELD_WORDS, within 33 s, the engine
+#: adding at most 400 MB to the process; a 9x200 grid, whose states are few
+#: but carry up to 1,800 coefficients, reached this cap only after 97 s at
+#: 160 MB.
+MAX_STATES = 1_000_000
 #: Machine words (see _words) that the states of two consecutive steps of
-#: the frontier programme may hold, whatever the node budget.  A word took
-#: at most 25 bytes at the peak on random graphs and grids, so this is
-#: about 0.4 GB (see cli.MAX_NODE_BUDGET).
+#: the frontier programme may hold.  A word took at most 25 bytes at the
+#: peak on random graphs and grids, so this is about 0.4 GB.
 MAX_HELD_WORDS = 1 << 24
 
 
 class ResourceLimitError(RuntimeError):
-    """A computation exceeded its configured budget."""
+    """A computation exceeded one of its resource caps."""
 
 
 def _next_vertex(masks: tuple, added: int, frontier: list, starts) -> int:
@@ -98,7 +103,7 @@ def _restricted_growth(pattern: list) -> tuple:
     return tuple([names.setdefault(c, len(names)) for c in pattern])
 
 
-def _frontier_dp(masks: tuple, budget: int) -> list:
+def _frontier_dp(masks: tuple) -> list:
     """Coefficients of the chromatic polynomial of the graph with these
     adjacency bitmasks (see the module docstring)."""
     starts = iter(sorted(range(len(masks)), key=lambda v: masks[v].bit_count()))
@@ -135,9 +140,9 @@ def _frontier_dp(masks: tuple, budget: int) -> list:
                 if old is None:
                     created += 1
                     words += _words(key, weight)
-                    if created > budget:
+                    if created > MAX_STATES:
                         raise ResourceLimitError(
-                            f"frontier state budget ({budget}) exceeded")
+                            f"frontier state budget ({MAX_STATES}) exceeded")
                     if held + words > MAX_HELD_WORDS:
                         raise ResourceLimitError(
                             f"frontier states would hold more than "
@@ -151,12 +156,11 @@ def _frontier_dp(masks: tuple, budget: int) -> list:
     return weight
 
 
-def chromatic_polynomial(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET,
-                         cache: Dict | None = None) -> IntPolynomial:
+def chromatic_polynomial(g: Graph, *, cache: Dict | None = None) -> IntPolynomial:
     """Exact chromatic polynomial of a simple graph.
 
     Raises ResourceLimitError when the frontier programme would create
-    more than `node_budget` states, or when the states it holds would
+    more than MAX_STATES states, or when the states it holds would
     take more than MAX_HELD_WORDS machine words.  A `cache` dict, keyed by
     the graph's adjacency masks, may be passed in to share results between
     calls.
@@ -164,7 +168,7 @@ def chromatic_polynomial(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET,
     masks = g.adjacency_masks()
     if cache is not None and masks in cache:
         return cache[masks]
-    p = IntPolynomial(_frontier_dp(masks, node_budget))
+    p = IntPolynomial(_frontier_dp(masks))
     if cache is not None:
         cache[masks] = p
     return p
@@ -176,6 +180,7 @@ def chromatic_polynomial(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET,
 
 ORACLE_MAX_COLOURS = 12
 ORACLE_MAX_VERTICES = 12
+ORACLE_MAX_STEPS = 40_000_000
 
 
 def _oracle_order(g: Graph) -> list:
@@ -195,7 +200,7 @@ def _oracle_order(g: Graph) -> list:
     return order
 
 
-def _walk_colourings(g: Graph, order: list, x: int, step_budget: int,
+def _walk_colourings(g: Graph, order: list, x: int,
                      frames: int = 0) -> Dict[tuple, int]:
     """Proper colourings of g with at most x colours, up to a permutation
     of the colours, by exhaustive backtracking along `order`.
@@ -209,7 +214,7 @@ def _walk_colourings(g: Graph, order: list, x: int, step_budget: int,
     colourings (Read's expansion P(G, x) = sum_k a_k(G) ff_k(x)).
 
     Independent of the polynomial engine.  Enforces the documented bounds
-    (x <= 12, vertex_count <= 12) and a step budget on the search nodes.
+    (x <= 12, vertex_count <= 12) and ORACLE_MAX_STEPS search nodes.
     """
     if x < 0:
         raise ValueError("colour count must be >= 0")
@@ -235,7 +240,7 @@ def _walk_colourings(g: Graph, order: list, x: int, step_budget: int,
             counts[key] = counts.get(key, 0) + 1
             return
         steps += 1
-        if steps > step_budget:
+        if steps > ORACLE_MAX_STEPS:
             raise ResourceLimitError("oracle step budget exceeded")
         forbidden = 0
         for j in pred[depth]:
@@ -249,22 +254,20 @@ def _walk_colourings(g: Graph, order: list, x: int, step_budget: int,
     return counts
 
 
-def count_colourings_oracle(g: Graph, x: int, *,
-                            step_budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+def count_colourings_oracle(g: Graph, x: int) -> int:
     """Number of proper x-colourings by exhaustive backtracking (see
     _walk_colourings for the bounds)."""
-    walked = _walk_colourings(g, _oracle_order(g), x, step_budget)
+    walked = _walk_colourings(g, _oracle_order(g), x)
     return sum(count * math.perm(x, k) for (k,), count in walked.items())
 
 
-def count_colourings_by_type(fg: FramedGraph, x: int, *,
-                             step_budget: int = DEFAULT_ORACLE_BUDGET) -> Dict[ColouringType, int]:
+def count_colourings_by_type(fg: FramedGraph, x: int) -> Dict[ColouringType, int]:
     """Brute-force proper-colouring counts split by frame colour pattern."""
     # The frame goes first: it is the one block of four that gets typed.
     order = list(fg.frame) + [v for v in range(fg.graph.vertex_count)
                               if v not in fg.frame]
     counts = dict.fromkeys(ColouringType, 0)
-    for (ctype, k), count in _walk_colourings(fg.graph, order, x, step_budget,
+    for (ctype, k), count in _walk_colourings(fg.graph, order, x,
                                               frames=1).items():
         counts[ctype] += count * math.perm(x, k)
     return counts
@@ -301,7 +304,6 @@ class PartitionVector:
 
 
 def partitioned_chromatic(fg: FramedGraph, *,
-                          node_budget: int = DEFAULT_NODE_BUDGET,
                           cache: Dict | None = None) -> PartitionVector:
     """Type-wise chromatic polynomials (P1, P2, P3, P4) of a framed graph.
 
@@ -315,6 +317,5 @@ def partitioned_chromatic(fg: FramedGraph, *,
         if aux is None:
             parts.append(IntPolynomial.zero())
         else:
-            parts.append(chromatic_polynomial(aux, node_budget=node_budget,
-                                              cache=cache))
+            parts.append(chromatic_polynomial(aux, cache=cache))
     return PartitionVector(*parts)

@@ -22,9 +22,10 @@ MAX_DIGITS, family --n <= MAX_SYMBOLIC_N, croots --bits <= MAX_BITS, the
 croots strip's vertex count (its degree) <= roots.MAX_DEGREE,
 verify-golden --n or --max-n (not both) <= MAX_GOLDEN_N and
 reproduce-tables --max-n <= MAX_TABLE_N.  croots runs each stage of its
-root iteration for at most roots.MAX_SWEEPS sweeps.  Every subcommand that
-runs the chromatic polynomial engine (all but verify-M) takes
---node-budget, at most MAX_NODE_BUDGET.
+root iteration for at most roots.MAX_SWEEPS sweeps.  The chromatic
+polynomial engine, which every subcommand but verify-M runs, stops with a
+one-line resource limit error after chromatic.MAX_STATES frontier states
+or once its states would hold chromatic.MAX_HELD_WORDS machine words.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .chromatic import (DEFAULT_NODE_BUDGET, ResourceLimitError,
-                        chromatic_polynomial, partitioned_chromatic)
+from .chromatic import (ResourceLimitError, chromatic_polynomial,
+                        partitioned_chromatic)
 from .graphs import FIXTURE_NAMES, FramedGraph, load_fixture, parse_graph_text
 from .roots import (MAX_DEGREE, NoSignChangeError, NonPositiveAtFourError,
                     RootConvergenceError, complex_roots, fraction_to_decimal,
@@ -52,12 +53,14 @@ from .transfer import (StripFamily, golden_identity_check,
 
 #: Caps on the pointwise options.  Every bundled table row fits: strip 513
 #: at 10 digits for root4, and 256 bits for croots.  On a 2-core x86-64
-#: machine, root4 on H,W4 at 10 digits takes 3.0-3.4 s at strip 2049 and
-#: 4097 (2.4 s of it the engine on H; 8.1-8.9 s at 8193), and its root
-#: search 1.3-1.7 s at 4097 with 5 exact signs.  At 30 digits the search
-#: takes 40 s at 2049 and 173 s at 4097, with 57 exact signs: bisection
-#: below the floats' reach is exact.  Each doubling of n costs about 4
-#: times per exact sign; ball arithmetic (ROADMAP item 3) would lower that.
+#: machine, root4 on H,W4 at 10 digits takes 0.24 s at strip 2049 and
+#: 0.34 s at 4097 (0.03 s of it the engine on H), its root search
+#: 0.1-0.2 s at 4097 and 0.5 s at 8193, with 5 exact signs.  At 30 digits
+#: the search takes 3.2 s at 2049 and 10 s at 4097, with 57 exact signs:
+#: bisection below the floats' reach is exact.  One exact sign at a 40-bit
+#: point near the root takes 0.03 s at strip 2049, 0.16 s at 8193 and
+#: 0.5 s at 16,385, about 3 times as long per doubling of n; ball
+#: arithmetic (ROADMAP item 3) would lower that.
 MAX_POINTWISE_N = 4097
 MAX_DIGITS = 30
 MAX_BITS = 1024
@@ -67,15 +70,6 @@ MAX_BITS = 1024
 MAX_SYMBOLIC_N = 512
 #: Cap on verify-golden --n and --max-n.
 MAX_GOLDEN_N = 128
-#: Cap on --node-budget, in frontier states created.  H needs 1,968 states
-#: and 0.02 s.  Memory does not grow with the budget: the engine also stops
-#: once its states hold chromatic.MAX_HELD_WORDS words.  On a 2-core x86-64
-#: machine, seeded random graphs of 25-2000 vertices (edge probability
-#: 0.3-0.999) and a 12x160 grid, under this cap, finished or stopped on the
-#: word ceiling within 33 s, the engine adding at most 400 MB to the
-#: process; a 9x200 grid, whose states are few but carry up to 1,800
-#: coefficients, used up the default budget after 97 s at 160 MB.
-MAX_NODE_BUDGET = 1_500_000
 #: Cap on reproduce-tables --max-n: the largest row of either table.
 MAX_TABLE_N = max(BY_N_ROWS + DOUBLING_ROWS)
 
@@ -112,8 +106,7 @@ def _load_family(args, max_vertices: int | None = None) -> tuple:
     size = sum(end.graph.vertex_count for end in ends) - 8
     if max_vertices is not None:
         _check_range("--n", args.n, 1, (max_vertices - size) // 4)
-    fam = StripFamily.from_framed(*ends, f"{args.endA},{args.endB}",
-                                  node_budget=args.node_budget)
+    fam = StripFamily.from_framed(*ends, f"{args.endA},{args.endB}")
     return fam, size
 
 
@@ -139,7 +132,7 @@ def _fraction_str(q: Fraction) -> str:
 def cmd_poly(args) -> int:
     g = _load_graph(args.graph)
     graph = g.graph if isinstance(g, FramedGraph) else g
-    p = chromatic_polynomial(graph, node_budget=args.node_budget)
+    p = chromatic_polynomial(graph)
     payload = {"vertices": graph.vertex_count, "edges": graph.edge_count,
                "degree": p.degree, "coefficients": p.to_decimal_strings()}
     text = f"P({args.graph}) = {p}\n"
@@ -149,7 +142,7 @@ def cmd_poly(args) -> int:
 
 def cmd_qvec(args) -> int:
     fg = _load_framed(args.graph)
-    q = partitioned_chromatic(fg, node_budget=args.node_budget)
+    q = partitioned_chromatic(fg)
     payload = {"frame": list(fg.frame), "components": q.to_json()}
     text = "".join(f"P{i} = {p}\n" for i, p in enumerate(q, start=1))
     _emit(args, payload, text)
@@ -192,7 +185,7 @@ def cmd_root4(args) -> int:
 
 def cmd_classify(args) -> int:
     fg = _load_framed(args.graph)
-    q = partitioned_chromatic(fg, node_budget=args.node_budget)
+    q = partitioned_chromatic(fg)
     c = classify_end_graph(q)
     series = [_fraction_str(s) for s in c.series]
     payload = {"verdict": c.verdict, "constant": _fraction_str(c.constant),
@@ -283,7 +276,7 @@ def cmd_reproduce_tables(args) -> int:
     all_ok = True
     t_start = time.time()
 
-    qh = partitioned_chromatic(load_fixture("H"), node_budget=args.node_budget)
+    qh = partitioned_chromatic(load_fixture("H"))
     if which in ("all", "table1"):
         expected = reference_partition_components()
         ok = tuple(qh) == tuple(expected)
@@ -292,8 +285,7 @@ def cmd_reproduce_tables(args) -> int:
         sys.stdout.write(f"table1 (partition components): "
                          f"{'pass' if ok else 'FAIL'}\n")
     if which != "table1":
-        qw4 = partitioned_chromatic(load_fixture("W4"),
-                                    node_budget=args.node_budget)
+        qw4 = partitioned_chromatic(load_fixture("W4"))
         fam = StripFamily(qh, qw4, "H,W4")
     # (table, rows, reference, digits, strip length minus row label)
     for table, rows, reference, digits, offset in (
@@ -337,15 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def node_budget(p):
-        p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                       help="frontier state cap, at most "
-                            f"{MAX_NODE_BUDGET}")
-
-    def common(p, engine=True):
+    def common(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
-        if engine:
-            node_budget(p)
         p.add_argument("-o", "--output", help="write output to a file")
 
     p = sub.add_parser("poly", help="chromatic polynomial of a graph")
@@ -399,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_golden)
 
     p = sub.add_parser("verify-M", help="brute-force check of the layer matrix")
-    common(p, engine=False)
+    common(p)
     p.set_defaults(func=cmd_verify_m)
 
     p = sub.add_parser("croots", help="complex roots of a strip polynomial")
@@ -409,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=256,
                    help=f"working precision, at most {MAX_BITS}")
     p.add_argument("-o", "--output", "--out", help="write the CSV to a file")
-    node_budget(p)
     p.set_defaults(func=cmd_croots)
 
     p = sub.add_parser("reproduce-tables",
@@ -418,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=MAX_TABLE_N,
                    help=f"largest table row to reproduce, at most {MAX_TABLE_N}")
     p.add_argument("--report", help="write a JSON report to this path")
-    node_budget(p)
     p.set_defaults(func=cmd_reproduce_tables)
 
     return ap
@@ -427,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "node_budget" in vars(args):
-            _check_range("--node-budget", args.node_budget, 1, MAX_NODE_BUDGET)
         return args.func(args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")

@@ -50,8 +50,8 @@ def _components(masks: tuple) -> list:
 #: Cap on the vertex count of a graph file.  `chromroots poly` takes
 #: 0.5-0.8 s on a 2000-vertex path or star and 0.3-0.4 s on 2000 isolated
 #: vertices, on a shared 2-core x86-64 machine; the engine alone takes
-#: 0.8-1.6 s on a 2000-vertex cycle or a 3000-vertex path or star.  Wide graphs cost far more (see
-#: cli.MAX_NODE_BUDGET).
+#: 0.8-1.6 s on a 2000-vertex cycle or a 3000-vertex path or star.  Wide
+#: graphs cost far more (see chromatic.MAX_STATES).
 MAX_VERTICES = 2000
 
 

@@ -26,8 +26,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Sequence
 
-from .chromatic import (DEFAULT_NODE_BUDGET, DEFAULT_ORACLE_BUDGET,
-                        PartitionVector, _walk_colourings,
+from .chromatic import (PartitionVector, _walk_colourings,
                         partitioned_chromatic)
 from .exactnum import (IntPolynomial, QuadExt, dot, falling_factorial,
                        falling_factorial_sum, power, quad_mul)
@@ -212,25 +211,26 @@ def _power_mod(k: int, low: Sequence[int]) -> list:
     return r
 
 
-def family_value_at(qa: PartitionVector, qb: PartitionVector, n: int,
-                    x: Fraction) -> Fraction:
-    """Exact value of the strip-family chromatic polynomial at a rational
-    point: X(1..4) from the strip head, beyond by square-and-multiply.
+def _scaled_value_at(qa: PartitionVector, qb: PartitionVector, n: int,
+                     x: Fraction) -> tuple:
+    """(v, k) with X(n)(a/b) = v / b^k for x = a/b in lowest terms, in
+    integers only: X(1..4) from the strip head, beyond by
+    square-and-multiply.
 
-    With x = a/b everything is cleared to integers: the least e >= 0 with
-    deg X(k+2) <= e + 4k for the d starting terms makes them integers
-    Y(k) = b^(e+4k) X(k+2), and Y obeys the recurrence whose coefficient
-    of s^i, of degree at most 4(d-i), is scaled by b^(4(d-i)).  Then
-    Y(n-2) = sum_i r_i Y(i) with r = s^(n-2) mod that modulus, and
-    X(n) = Y(n-2) / b^(e+4(n-2)).
+    The least e >= 0 with deg X(k+2) <= e + 4k for the d starting terms
+    makes them integers Y(k) = b^(e+4k) X(k+2), and Y obeys the recurrence
+    whose coefficient of s^i, of degree at most 4(d-i), is scaled by
+    b^(4(d-i)).  Then Y(n-2) = sum_i r_i Y(i) with r = s^(n-2) mod that
+    modulus, and X(n) = Y(n-2) / b^(e+4(n-2)).
     """
     if n < 1:
         raise ValueError("strip length must be >= 1")
     x = Fraction(x)
     xs, low, _ = _strip_head(qa, qb)
-    if n <= 4:
-        return xs[n - 1].eval_fraction(x)
     a, b = x.numerator, x.denominator
+    if n <= 4:
+        p = xs[n - 1]
+        return p.scaled_value(a, b), max(p.degree, 0)
     d = len(low)
     starts = xs[1:1 + d]
     e = max(0, *(p.degree - 4 * k for k, p in enumerate(starts)))
@@ -238,14 +238,23 @@ def family_value_at(qa: PartitionVector, qb: PartitionVector, n: int,
           for k, p in enumerate(starts)]
     r = _power_mod(n - 2, [c.scaled_value(a, b, min_degree=4 * (d - i))
                            for i, c in enumerate(low)])
-    return Fraction(sum(ri * yi for ri, yi in zip(r, ys)),
-                    b ** (e + 4 * (n - 2)))
+    return sum(ri * yi for ri, yi in zip(r, ys)), e + 4 * (n - 2)
+
+
+def family_value_at(qa: PartitionVector, qb: PartitionVector, n: int,
+                    x: Fraction) -> Fraction:
+    """Exact value of the strip-family chromatic polynomial at a rational
+    point (see _scaled_value_at)."""
+    x = Fraction(x)
+    v, k = _scaled_value_at(qa, qb, n, x)
+    return Fraction(v, x.denominator ** k)
 
 
 def family_sign_at(qa: PartitionVector, qb: PartitionVector, n: int,
                    x: Fraction) -> int:
-    """Exact sign of the strip-family polynomial at a rational point."""
-    v = family_value_at(qa, qb, n, x)
+    """Exact sign of the strip-family polynomial at a rational point; b^k
+    is positive, so it is the sign of the integer v of _scaled_value_at."""
+    v, _ = _scaled_value_at(qa, qb, n, x)
     return (v > 0) - (v < 0)
 
 
@@ -258,10 +267,9 @@ class StripFamily:
     label: str = ""
 
     @classmethod
-    def from_framed(cls, a: FramedGraph, b: FramedGraph, label: str = "", *,
-                    node_budget: int = DEFAULT_NODE_BUDGET) -> "StripFamily":
-        return cls(partitioned_chromatic(a, node_budget=node_budget),
-                   partitioned_chromatic(b, node_budget=node_budget), label)
+    def from_framed(cls, a: FramedGraph, b: FramedGraph,
+                    label: str = "") -> "StripFamily":
+        return cls(partitioned_chromatic(a), partitioned_chromatic(b), label)
 
     def polynomial(self, n: int) -> IntPolynomial:
         return family_polynomial(self.qa, self.qb, n)
@@ -474,7 +482,7 @@ def verify_M_against_oracle() -> MOracleReport:
     """
     graph, outer, inner = layer_gadget()
     walked = _walk_colourings(graph, [*outer, *inner], graph.vertex_count,
-                              DEFAULT_ORACLE_BUDGET, frames=2)
+                              frames=2)
     grid = [[{} for _ in range(4)] for _ in range(4)]
     for (t_outer, t_inner, s), count in sorted(walked.items()):
         grid[t_outer - 1][t_inner - 1][s] = count

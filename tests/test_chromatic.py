@@ -74,37 +74,42 @@ def test_engine_label_order_invariance():
         assert chromatic_polynomial(g.relabelled(perm)) == p
 
 
-def test_engine_budget():
+def test_engine_budget(monkeypatch):
     g = double_ended_strip(wheel4(), load_fixture("neg10"), 2)
-    with pytest.raises(ResourceLimitError):
-        chromatic_polynomial(g, node_budget=10)
+    monkeypatch.setattr(chromatic, "MAX_STATES", 10)
+    with pytest.raises(ResourceLimitError, match=r"budget \(10\)"):
+        chromatic_polynomial(g)
 
 
 @pytest.mark.parametrize("fixture,states", [
     ("W4", (3, 4, 4, 5)), ("L", (7, 12, 12, 23)), ("neg10", (11, 15, 18, 20)),
     ("H", (245, 624, 294, 805))], ids=["W4", "L", "neg10", "H"])
-def test_engine_state_counts(fixture, states):
+def test_engine_state_counts(monkeypatch, fixture, states):
     # The frontier states created for each type's auxiliary graph: the
-    # engine finishes on that budget and stops one state short of it.  A
+    # engine finishes on that cap and stops one state short of it.  A
     # changed vertex order or state encoding creates other counts.
     fg = load_fixture(fixture)
     parts = []
     for t, count in zip(ColouringType, states):
         aux = type_auxiliary_graph(fg, t)
-        parts.append(chromatic_polynomial(aux, node_budget=count))
+        monkeypatch.setattr(chromatic, "MAX_STATES", count)
+        parts.append(chromatic_polynomial(aux))
+        monkeypatch.setattr(chromatic, "MAX_STATES", count - 1)
         with pytest.raises(ResourceLimitError):
-            chromatic_polynomial(aux, node_budget=count - 1)
+            chromatic_polynomial(aux)
+    monkeypatch.undo()
     expected = (reference_partition_components() if fixture == "H"
                 else partitioned_chromatic(fg))
     assert tuple(parts) == tuple(expected)
 
 
-def test_engine_cache_is_keyed_by_the_whole_graph():
+def test_engine_cache_is_keyed_by_the_whole_graph(monkeypatch):
     cache = {}
     q = partitioned_chromatic(load_fixture("H"), cache=cache)
     assert len(cache) == 4
-    assert partitioned_chromatic(load_fixture("H"), cache=cache,
-                                 node_budget=1) == q
+    # Hits run no engine: each of H's graphs needs far more than one state.
+    monkeypatch.setattr(chromatic, "MAX_STATES", 1)
+    assert partitioned_chromatic(load_fixture("H"), cache=cache) == q
 
 
 @st.composite
@@ -141,9 +146,10 @@ def test_engine_long_cycle_and_path():
     [(v, v + 1) for v in range(1999)],
     [],
 ], ids=["star", "path", "isolated"])
-def test_engine_on_2000_vertices_is_linear(edges):
+def test_engine_on_2000_vertices_is_linear(monkeypatch, edges):
     # One state per vertex.
-    p = chromatic_polynomial(Graph(2000, edges), node_budget=2000)
+    monkeypatch.setattr(chromatic, "MAX_STATES", 2000)
+    p = chromatic_polynomial(Graph(2000, edges))
     assert p.degree == 2000 and p(2) == (2 if edges else 2 ** 2000)
 
 
@@ -179,13 +185,14 @@ def test_oracle_agreement():
         assert count_colourings_oracle(load_fixture("L").graph, x) == p_l(x)
 
 
-def test_oracle_bounds():
+def test_oracle_bounds(monkeypatch):
     with pytest.raises(ResourceLimitError):
         count_colourings_oracle(complete_graph(13), 3)
     with pytest.raises(ResourceLimitError):
         count_colourings_oracle(complete_graph(3), 13)
-    with pytest.raises(ResourceLimitError):
-        count_colourings_oracle(load_fixture("neg10").graph, 8, step_budget=100)
+    monkeypatch.setattr(chromatic, "ORACLE_MAX_STEPS", 100)
+    with pytest.raises(ResourceLimitError, match="step budget"):
+        count_colourings_oracle(load_fixture("neg10").graph, 8)
 
 
 def test_partitioned_wheel(q_w4):

@@ -12,10 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from chromroots import cli, roots
+from chromroots import chromatic, cli, roots
 from chromroots.cli import (MAX_BITS, MAX_DIGITS, MAX_GOLDEN_N,
-                            MAX_NODE_BUDGET, MAX_POINTWISE_N, MAX_SYMBOLIC_N,
-                            MAX_TABLE_N, main)
+                            MAX_POINTWISE_N, MAX_SYMBOLIC_N, MAX_TABLE_N, main)
 from chromroots.graphs import MAX_VERTICES
 from chromroots.roots import MAX_DEGREE
 from chromroots.tables import DOUBLING_ROWS
@@ -173,15 +172,6 @@ def test_family_caps_before_building_the_strip(capsys, monkeypatch):
     assert MAX_SYMBOLIC_N == 512
 
 
-def test_node_budget_range_before_any_engine_work(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "partitioned_chromatic",
-                        lambda *a, **kw: pytest.fail("engine ran"))
-    for budget in ("-3", "0", str(MAX_NODE_BUDGET + 1)):
-        _assert_one_line_error(capsys, "classify", "H", "--node-budget", budget)
-        _assert_one_line_error(capsys, "reproduce-tables", "--only", "table1",
-                               "--node-budget", budget)
-
-
 def test_max_n_range_before_any_engine_work(capsys, monkeypatch):
     monkeypatch.setattr(cli, "partitioned_chromatic",
                         lambda *a, **kw: pytest.fail("engine ran"))
@@ -231,7 +221,8 @@ def test_croots_that_does_not_converge_gives_one_line(capsys, monkeypatch):
     assert err.startswith("no convergence: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
+#: A run of each subcommand that runs the chromatic polynomial engine.
+ENGINE_ARGVS = [
     ("poly", "H"),
     ("qvec", "H"),
     ("family", "--endA", "H", "--endB", "W4", "--n", "1"),
@@ -241,15 +232,22 @@ def test_croots_that_does_not_converge_gives_one_line(capsys, monkeypatch):
     ("verify-golden", "--endA", "H", "--endB", "W4", "--n", "1"),
     ("croots", "--endA", "H", "--endB", "W4", "--n", "1"),
     ("reproduce-tables", "--only", "table1"),
-], ids=lambda argv: argv[0])
-def test_node_budget_applies_wherever_the_engine_runs(capsys, argv):
-    assert main([*argv, "--node-budget", "10"]) == 2
+]
+
+
+@pytest.mark.parametrize("argv", ENGINE_ARGVS, ids=lambda argv: argv[0])
+def test_node_budget_applies_wherever_the_engine_runs(capsys, monkeypatch,
+                                                     argv):
+    monkeypatch.setattr(chromatic, "MAX_STATES", 10)
+    assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
     ("verify-M", "--node-budget", "10"),
+    *[pytest.param((*argv, "--node-budget", "10"), id=f"{argv[0]}-node-budget")
+      for argv in ENGINE_ARGVS],
     ("croots", "--format", "json"),
     pytest.param(("croots", "--max-iter", "1"), id="croots-max-iter"),
     ("reproduce-tables", "--format", "json"),

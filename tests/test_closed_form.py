@@ -160,10 +160,10 @@ def test_root_path_equals_exact_path_with_one_non_planar_end(q_h):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """The arguments of every exact strip evaluation, in order."""
+    """The arguments of every exact strip sign, in order."""
     seen = []
-    real = transfer.family_value_at
-    monkeypatch.setattr(transfer, "family_value_at",
+    real = transfer.family_sign_at
+    monkeypatch.setattr(transfer, "family_sign_at",
                         lambda *args: seen.append(args) or real(*args))
     return seen
 

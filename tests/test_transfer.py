@@ -1,6 +1,7 @@
 """Layer-count matrix, transfer matrix, gluing, strip families, golden
 identity."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -15,6 +16,7 @@ from chromroots.exactnum import (GOLDEN_RATIO, IntPolynomial, QuadExt,
                                  falling_factorial, falling_factorial_sum)
 from chromroots.graphs import (Graph, cycle_graph, double_ended_strip,
                                framed_square, load_fixture, wheel4)
+from chromroots.roots import BRACKET_MAX_K
 from chromroots.transfer import (_M_FF, CHAR_B1, CHAR_B2, TYPE_COLOUR_COUNTS,
                                  _strip_head, build_M, build_MD,
                                  extend_one_layer, family_polynomial,
@@ -174,6 +176,26 @@ def test_strip_head_is_built_once_per_pair(q_h, q_w4, monkeypatch):
 
 def test_family_value_large_n_positive_at_four(q_h, q_w4):
     assert family_value_at(q_h, q_w4, 513, Fraction(4)) > 0
+
+
+@pytest.mark.parametrize("end", ["H", "neg10"])
+def test_family_sign_at_matches_the_symbolic_strip(fixture_vectors, q_w4, end):
+    # The integer sign kernel against the symbolic polynomial's exact value,
+    # at the probes 4 - 2^-k of the root scan and at seeded points in (3, 4).
+    rng = random.Random(15)
+    qa = fixture_vectors[end]
+    probes = [4 - Fraction(1, 2 ** k) for k in range(1, BRACKET_MAX_K + 1)]
+    signs = set()
+    for n in range(1, 41):
+        p = family_polynomial(qa, q_w4, n)
+        seeded = [3 + Fraction(rng.randrange(1, 10 ** 6), 10 ** 6)
+                  for _ in range(8)]
+        for x in probes + seeded:
+            v = p.eval_fraction(x)
+            sign = family_sign_at(qa, q_w4, n, x)
+            assert sign == (v > 0) - (v < 0), (n, x)
+            signs.add(sign)
+    assert signs == {-1, 1}
 
 
 def test_golden_identity():
