@@ -31,7 +31,8 @@ PAIRS = 10
 TRACED_PAIRS = 1
 #: Traced layer metrics recorded beside the end-to-end ones.
 LAYER_METRICS = ("chromatic.self_s", "chromatic.cache_entries",
-                 "transfer.value_at_ms", "transfer.layers_extended",
+                 "transfer.value_at_ms", "transfer.family_polynomial_s",
+                 "transfer.layers_extended",
                  "exactnum.poly_mul_calls", "roots.sign_evals_per_root",
                  "roots.bracket_s", "roots.bisect_s",
                  "roots.croots_s", "roots.sturm_s", "roots.sturm_chain_len",

@@ -65,8 +65,9 @@ MAX_POINTWISE_N = 4097
 MAX_DIGITS = 30
 MAX_BITS = 1024
 #: Cap on family --n.  The W4,W4 strip at n = 512 (degree 2050) takes
-#: 2.4 s, 37 MB and 2 MB of JSON on a 2-core x86-64 machine; n = 1024
-#: takes 18.6 s and 69 MB (each doubling of n costs 4 to 8 times the time).
+#: 1.2-1.3 s, 32 MB and 2 MB of JSON on a 2-core x86-64 machine; n = 1024
+#: takes 6.2 s and 27 MB in the library (each doubling of n costs about 5
+#: times the time).
 MAX_SYMBOLIC_N = 512
 #: Cap on verify-golden --n and --max-n.
 MAX_GOLDEN_N = 128

@@ -74,7 +74,7 @@ class IntPolynomial:
     __slots__ = ("_c",)
 
     def __init__(self, coefficients: Iterable[int] = ()):
-        c = [int(v) for v in coefficients]
+        c = list(map(operator.index, coefficients))  # no float, no Fraction
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)

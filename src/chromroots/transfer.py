@@ -8,10 +8,13 @@ basis), and the golden-ratio identity check for planar triangulations.
 Strip families are computed from the recurrence that the characteristic
 polynomial det(tI - MD) = t (t - 2) (t^2 + CHAR_B1 t + CHAR_B2) gives by
 Cayley-Hamilton, not from powers of MD.  Both paths start from one cached
-strip head per end pair (X(1..4) and the recurrence's modulus), then take
-2 or 3 polynomial multiply-adds per layer symbolically, or s^(n-2) modulo
-the recurrence by integer square-and-multiply pointwise (_power_mod, kept
-apart from exactnum.power for its symmetric squaring and shift-multiply).
+strip head per end pair (X(1..4) and the recurrence's modulus).
+Symbolically, each layer is a few passes of small integers over the
+coefficients in the basis t = x - 3, where the strips vanish to an order
+that grows by one per layer, and one Taylor shift returns to x.
+Pointwise, s^(n-2) is taken modulo the recurrence by integer
+square-and-multiply (_power_mod, kept apart from exactnum.power for its
+symmetric squaring and shift-multiply).
 TransferMatrix.power, exactnum.power on 4x4 products, remains the path that
 tests compare against.  The strip head also holds the family's closed form
 near 4 from the recurrence's eigenvalues (ClosedForm), in floats, whose
@@ -24,6 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import repeat
+from operator import mul, sub
 from typing import Sequence
 
 from .chromatic import (PartitionVector, _walk_colourings,
@@ -144,13 +149,18 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     """X(1..4) of the strip with ends A and B, by gluing and layer
     extension, the low coefficients (constant first) of a monic
     annihilator of the sequence X(2), X(3), ..., all as IntPolynomials,
-    and the ClosedForm of the family near 4.
+    the ClosedForm of the family near 4, and the recurrence's starting
+    window in the basis t = x - 3 (see family_polynomial).
 
     By Cayley-Hamilton the cubic (s - 2)(s^2 + CHAR_B1 s + CHAR_B2)
     annihilates the sequence from n = 2 on.  The residual
     r(n) = X(n+2) + CHAR_B1 X(n+1) + CHAR_B2 X(n) then obeys
-    r(n+1) = 2 r(n), so when r(2) is exactly zero the quadratic alone
-    annihilates it (face-framed planar ends); otherwise the cubic is used.
+    r(n+1) = 2 r(n), so when r(2) is exactly zero (face-framed planar ends)
+    the quadratic alone annihilates it; otherwise the cubic is used.
+
+    The t-basis window holds, for the last len(low) of X(1..4), the power
+    of t that X(k)(t + 3) starts at and its coefficients from there on, and
+    for each low[i] the nonzero terms (j, c) of low[i](t + 3).
     """
     grown = [qb]
     for _ in range(3):
@@ -162,7 +172,19 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     else:
         low = (-2 * CHAR_B2, CHAR_B2 - 2 * CHAR_B1,
                CHAR_B1 - IntPolynomial.constant(2))
-    return xs, low, ClosedForm(xs, residual)
+    window = tuple(_lowest_first(p.taylor_shift(3).coefficients)
+                   for p in xs[4 - len(low):])
+    terms = tuple(tuple((j, c) for j, c in
+                        enumerate(m.taylor_shift(3).coefficients) if c)
+                  for m in low)
+    return xs, low, ClosedForm(xs, residual), (window, terms)
+
+
+def _lowest_first(cs: Sequence[int]) -> tuple:
+    """(v, cs[v:]) for the first nonzero cs[v]; (0, cs) when cs is empty.
+    cs has no trailing zeros."""
+    v = next((j for j, c in enumerate(cs) if c), 0)
+    return v, cs[v:]
 
 
 def family_polynomial(qa: PartitionVector, qb: PartitionVector,
@@ -170,19 +192,37 @@ def family_polynomial(qa: PartitionVector, qb: PartitionVector,
     """Exact chromatic polynomial of the n-layer strip with end graphs A
     and B: the scalar X(n) = Q(A)^T D (MD)^(n-1) Q(B).
 
-    X(1..4) come from the strip head; every further layer is 2 or 3
-    polynomial multiply-adds of the strip recurrence (see _strip_head).
+    X(1..4) come from the strip head.  Further layers run the strip
+    recurrence X(k+d) = -sum_i low[i] X(k+i) (see _strip_head) in the
+    basis t = x - 3, where the strips vanish: from k = 2 on, X(k) of planar
+    ends starts at t^(k + c) for a c fixed by the pair (0 on H,W4); the
+    quadratic modulus is CHAR_B1(t+3) = 3t - 6t^2 - t^4 and
+    CHAR_B2(t+3) = -2t^3 + 4t^5 + 2t^6.  So a layer is six passes of one
+    small integer over coefficients 2.6 times narrower than in x (215
+    against 562 bits on H,W4 at n = 64), each subtracting c t^j w from the
+    new term in place, and one Taylor shift by -3 at the end brings X(n)
+    back to x.  The cubic modulus of non-planar ends takes the same loop.
     """
     if n < 1:
         raise ValueError("strip length must be >= 1")
-    xs, low, _ = _strip_head(qa, qb)
+    xs, _, _, (window, terms) = _strip_head(qa, qb)
     if n <= 4:
         return xs[n - 1]
-    window = list(xs[4 - len(low):])
     for _ in range(n - 4):
-        step = sum((c * w for c, w in zip(low, window)), IntPolynomial.zero())
-        window = window[1:] + [-step]
-    return window[-1]
+        parts = [(v + j, w, c) for (v, w), ts in zip(window, terms)
+                 for j, c in ts]
+        lo = min(s for s, _, _ in parts)
+        out = [0] * (max(s + len(w) for s, w, _ in parts) - lo)
+        for s, w, c in parts:
+            s -= lo
+            e = s + len(w)
+            out[s:e] = map(sub, out[s:e], map(mul, w, repeat(c)))
+        while out and not out[-1]:
+            out.pop()
+        v, w = _lowest_first(out)
+        window = window[1:] + ((lo + v, w),)
+    v, w = window[-1]
+    return IntPolynomial([0] * v + w).taylor_shift(-3)
 
 
 def _power_mod(k: int, low: Sequence[int]) -> list:
@@ -226,7 +266,7 @@ def _scaled_value_at(qa: PartitionVector, qb: PartitionVector, n: int,
     if n < 1:
         raise ValueError("strip length must be >= 1")
     x = Fraction(x)
-    xs, low, _ = _strip_head(qa, qb)
+    xs, low, _, _ = _strip_head(qa, qb)
     a, b = x.numerator, x.denominator
     if n <= 4:
         p = xs[n - 1]

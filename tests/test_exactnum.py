@@ -78,6 +78,13 @@ def test_polynomial_arithmetic_and_division():
     assert p.derivative() == IntPolynomial([0, 2])
 
 
+def test_polynomial_rejects_non_integer_coefficients():
+    assert IntPolynomial([True, 2, 0]) == IntPolynomial([1, 2])
+    for bad in (Fraction(3, 2), Fraction(2), 2.7, 2.0):
+        with pytest.raises(TypeError):
+            IntPolynomial([1, bad])
+
+
 def test_polynomial_rational_evaluation():
     p = IntPolynomial([-2, 0, 1])
     assert p.eval_fraction(Fraction(3, 2)) == Fraction(1, 4)

@@ -310,6 +310,7 @@ framed_vectors = st.tuples(*[st.lists(st.integers(-9, 9), max_size=4)] * 4) \
 
 NON_PLANAR = PartitionVector(FF(2), IntPolynomial.zero(), IntPolynomial.zero(),
                              IntPolynomial.zero())
+ZERO = PartitionVector(*[IntPolynomial.zero()] * 4)
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +382,44 @@ def test_recurrence_matches_extension_for_fixture_pairs(fixture_vectors):
             assert family_polynomial(qa, qb, n) == expected[n - 1]
 
 
+@pytest.mark.parametrize("ends", [("H", "W4"), ("W4", "neg10")], ids=",".join)
+def test_recurrence_matches_extension_on_long_strips(fixture_vectors, ends):
+    qa, qb = (fixture_vectors[e] for e in ends)
+    for n, expected in enumerate(oracle_strip(qa, qb, 40), 1):
+        assert family_polynomial(qa, qb, n) == expected, n
+
+
+def t_adic_valuation(p):
+    """The power of t = x - 3 at which p(x) starts."""
+    return next(j for j, c in enumerate(p.taylor_shift(3).coefficients) if c)
+
+
+def test_t_basis_modulus_and_valuations(fixture_vectors):
+    # The quadratic modulus vanishes at x = 3, and X(n) does to an order
+    # that rises by exactly one per layer from n = 2 on: n on H,W4, n + 1
+    # with no W4 end, n - 1 on W4,W4.
+    assert CHAR_B1.taylor_shift(3) == IntPolynomial([0, 3, -6, 0, -1])
+    assert CHAR_B2.taylor_shift(3) == IntPolynomial([0, 0, 0, -2, 0, 4, 2])
+    offsets = {}
+    for (a, qa), (b, qb) in product(fixture_vectors.items(), repeat=2):
+        window, terms = _strip_head(qa, qb)[3]
+        assert terms == (((3, -2), (5, 4), (6, 2)), ((1, 3), (2, -6), (4, -1)))
+        orders = {t_adic_valuation(family_polynomial(qa, qb, n)) - n
+                  for n in range(2, MAX_ORACLE_N + 1)}
+        assert len(orders) == 1, (a, b)
+        offsets[a, b] = orders.pop()
+        assert [v for v, _ in window] == [3 + offsets[a, b], 4 + offsets[a, b]]
+    assert offsets == {(a, b): 1 - (a == "W4") - (b == "W4")
+                       for a, b in product(fixture_vectors, repeat=2)}
+
+
+def test_t_basis_coefficients_are_narrower(q_h, q_w4):
+    p = family_polynomial(q_h, q_w4, 64)
+    bits = [max(abs(c) for c in q.coefficients).bit_length()
+            for q in (p, p.taylor_shift(3))]
+    assert bits == [562, 215]
+
+
 @settings(max_examples=10, deadline=None)
 @given(x=points)
 @example(x=Fraction(4))
@@ -398,6 +437,7 @@ def test_non_planar_pair_takes_the_cubic():
 @settings(max_examples=40, deadline=None)
 @given(qa=framed_vectors, qb=framed_vectors, x=points)
 @example(qa=NON_PLANAR, qb=NON_PLANAR, x=Fraction(4))
+@example(qa=ZERO, qb=ZERO, x=Fraction(4))   # an all-zero t-basis window
 def test_recurrence_matches_oracle_for_arbitrary_vectors(qa, qb, x):
     expected = oracle_strip(qa, qb, 12)
     for n in range(1, 13):
