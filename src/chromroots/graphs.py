@@ -3,8 +3,9 @@ operations, a text file format, and the bundled end-graph fixtures.
 
 Vertices are 0..n-1.  Graphs are immutable: every surgery operation
 (edge addition, vertex identification, gluing) returns a new Graph.
-Adjacency is one bitmask per vertex; the mask walkers here (set bits,
-connected components) serve Graph and the chromatic polynomial engine.
+Adjacency is one bitmask per vertex; of the mask walkers here, _bits (set
+bits) serves Graph and the chromatic polynomial engine, and _components
+only Graph.is_connected.
 """
 
 from __future__ import annotations
@@ -377,25 +378,13 @@ def add_lattice_layer(fg: FramedGraph) -> FramedGraph:
 
 def glue_framed(a: FramedGraph, b: FramedGraph) -> Graph:
     """Glue two framed graphs by identifying their frames pointwise
-    (a_i with b_i)."""
-    ga, gb = a.graph, b.graph
-    offset = ga.vertex_count
-    edges = list(ga.edges)
-    frame_map = {b.frame[i] + offset: a.frame[i] for i in range(4)}
-
-    def img(v: int) -> int:
-        w = v + offset
-        return frame_map.get(w, w)
-
-    for u, v in gb.edges:
-        e = (img(u), img(v))
-        if e[0] != e[1]:
-            edges.append(e)
-    merged = Graph(offset + gb.vertex_count, edges)
-    # Drop the four orphaned b-frame indices.
-    keep = [v for v in range(merged.vertex_count) if v not in frame_map]
-    index = {v: i for i, v in enumerate(keep)}
-    return Graph(len(keep), [(index[u], index[v]) for u, v in merged.edges])
+    (a_i with b_i): the quotient of their disjoint union, with a's vertices
+    first and b's others after them in order."""
+    offset = a.graph.vertex_count
+    union = Graph(offset + b.graph.vertex_count,
+                  [*a.graph.edges,
+                   *((u + offset, v + offset) for u, v in b.graph.edges)])
+    return union.quotient([(u, v + offset) for u, v in zip(a.frame, b.frame)])
 
 
 def double_ended_strip(a: FramedGraph, b: FramedGraph, n: int) -> Graph:

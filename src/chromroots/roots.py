@@ -46,9 +46,12 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import mpmath as mp
 
 from .exactnum import IntPolynomial
-from .transfer import SIGN_SAFETY, StripFamily
+from .transfer import StripFamily
 
 BRACKET_MAX_K = 48
+#: Safety factor of the probe scan's float signs (see the module docstring
+#: and transfer.ClosedForm.sign); bisection's are checked and take 1.
+SIGN_SAFETY = 2 ** 10
 DEFAULT_WIDTH = Fraction(1, 10 ** 11)
 #: Degree cap of complex_roots.
 MAX_DEGREE = 600
@@ -103,8 +106,8 @@ def _probe(k: int) -> Fraction:
 
 class _Signs:
     """Signs of the n-layer strip polynomial: exact ones, memoised in
-    `exact_at`, and guided ones (see the module docstring), whose float
-    value must exceed `margin` times its size (transfer.ClosedForm.value).
+    `exact_at`, and guided ones (see the module docstring): the closed
+    form's float sign at a safety factor, else the exact sign.
     """
 
     def __init__(self, family: StripFamily, n: int):
@@ -118,22 +121,14 @@ class _Signs:
             s = self.exact_at[x] = self.family.sign_at(self.n, x)
         return s
 
-    def guided(self, x: Fraction, margin: float) -> int:
-        b = x.denominator
-        gap = 4 * b - x.numerator      # eps = gap / b, gap odd when b > 1
-        if not b & (b - 1) and 0 < 2 * gap <= b and gap < 2 ** 53:
-            value, size = self.closed.value(self.n, gap / b)
-            if abs(value) > margin * size:
-                return 1 if value > 0 else -1
-        return self.exact(x)
-
     def search(self, run: Callable[[Callable[[Fraction], int]], RootBracket],
-               margin: float) -> RootBracket:
+               safety: int) -> RootBracket:
         """run(sign) on guided signs, kept when the exact signs at its
         bracket's ends are its signs, else run(sign) on exact signs; the
         result counts the exact signs taken so far."""
         try:
-            br = run(lambda x: self.guided(x, margin))
+            br = run(lambda x: self.closed.sign(self.n, x, safety)
+                     or self.exact(x))
             checked = self.exact(br.lo) == br.sign_lo == -self.exact(br.hi)
         except NoSignChangeError:
             checked = False
@@ -147,7 +142,7 @@ class _Signs:
             raise NonPositiveAtFourError(
                 f"family value at 4 has sign {sign_at_four}; expected positive")
         return self.search(lambda sign: _scan(sign, sign_at_four),
-                           self.closed.margin)
+                           SIGN_SAFETY)
 
 
 def _scan(sign: Callable[[Fraction], int], sign_at_four: int) -> RootBracket:
@@ -239,8 +234,7 @@ def largest_root_near_four(family: StripFamily, n: int, *,
     bisection share one memo of exact signs (see the module docstring)."""
     signs = _Signs(family, n)
     coarse = signs.near_four()
-    fine = signs.search(lambda sign: bisect(coarse, sign, width),
-                        signs.closed.margin / SIGN_SAFETY)
+    fine = signs.search(lambda sign: bisect(coarse, sign, width), 1)
     return RootNearFour(n, fine, digits)
 
 
@@ -248,41 +242,42 @@ def largest_root_near_four(family: StripFamily, n: int, *,
 # Polynomial gcd / Sturm machinery (integer primitive remainder sequences)
 # ----------------------------------------------------------------------------
 
-def _pseudo_rem_tracked(a: IntPolynomial, b: IntPolynomial) -> Tuple[IntPolynomial, int]:
-    """(r, mult) with mult * a = q * b + r, deg r < deg b; mult is a power
-    of b's leading coefficient, so its sign is known exactly."""
-    db = b.degree
-    bc = b.coefficients
-    lc = bc[-1]
-    r = list(a.coefficients)
-    mult = 1
-    while len(r) - 1 >= db:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        shift = len(r) - 1 - db
-        head = r[-1]
-        r = [c * lc for c in r]
-        mult *= lc
-        for i, c in enumerate(bc):
-            r[shift + i] -= head * c
-        while r and r[-1] == 0:
-            r.pop()
-    return IntPolynomial(r), mult
+def _remainder_sequence(a: IntPolynomial, b: IntPolynomial) -> List[IntPolynomial]:
+    """[a, b, r2, r3, ...] ([a] when b = 0), each r(i+1) the primitive part
+    of a positive multiple of -(r(i-1) mod r(i)), up to the first constant
+    or the last nonzero member (then a gcd of a and b).
+
+    The pseudo-remainder lc(b)^(k+1) a - q b, k = deg a - deg b, is a
+    negative multiple of -(a mod b) exactly when lc(b) < 0 and k is even.
+    """
+    if not b:
+        return [a]
+    seq = [a, b]
+    while b.degree > 0:
+        *low, lc = b.coefficients
+        k = a.degree - b.degree
+        r = list(a.coefficients)
+        for shift in range(k, -1, -1):
+            head = r.pop()
+            r = [c * lc for c in r]
+            for i, c in enumerate(low, shift):
+                r[i] -= head * c
+        r = IntPolynomial(r)
+        if not r:
+            break
+        a, b = b, (-r if lc > 0 or k % 2 else r).primitive_part()
+        seq.append(b)
+    return seq
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over the integers (positive leading coefficient)."""
-    a = a.primitive_part()
-    b = b.primitive_part()
+    """Primitive gcd over the integers (positive leading coefficient): the
+    last member of the remainder sequence."""
+    a, b = a.primitive_part(), b.primitive_part()
     if a.degree < b.degree:
         a, b = b, a
-    while not b.is_zero():
-        r, _ = _pseudo_rem_tracked(a, b)
-        a, b = b, r.primitive_part()
-    if a.is_zero():
-        return a
-    return a if a.leading_coefficient() > 0 else -a
+    g = _remainder_sequence(a, b)[-1]
+    return -g if g.leading_coefficient() < 0 else g
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
@@ -305,40 +300,26 @@ def squarefree_factors(p: IntPolynomial) -> List[Tuple[IntPolynomial, int]]:
         return []
     dp = p.derivative()
     a0 = poly_gcd(p, dp)
-    if a0.degree == 0:
-        return [(p if p.leading_coefficient() > 0 else -p, 1)]
     b = p.divide_exact(a0)
-    c = dp.divide_exact(a0)
-    d = c - b.derivative()
+    d = dp.divide_exact(a0) - b.derivative()
     out = []
     i = 1
     while b.degree > 0:
         ai = poly_gcd(b, d)
         if ai.degree > 0:
             out.append((ai, i))
-        b = b.divide_exact(ai) if ai.degree > 0 else b
-        c = d.divide_exact(ai) if ai.degree > 0 else d
-        d = c - b.derivative()
+        b = b.divide_exact(ai)
+        d = d.divide_exact(ai) - b.derivative()
         i += 1
     return out
 
 
 def sturm_sequence(p: IntPolynomial) -> List[IntPolynomial]:
-    """Sturm chain of a squarefree polynomial, each member reduced to its
-    primitive part (positive rescaling never changes sign variations)."""
-    seq = [p.primitive_part()]
-    dp = p.derivative().primitive_part()
-    if dp.is_zero():
-        return seq
-    seq.append(dp)
-    while seq[-1].degree > 0:
-        r, mult = _pseudo_rem_tracked(seq[-2], seq[-1])
-        if r.is_zero():
-            break
-        if mult < 0:
-            r = -r
-        seq.append((-r).primitive_part())
-    return seq
+    """Sturm chain of a squarefree polynomial: the remainder sequence of
+    p and p', each member reduced to its primitive part (positive rescaling
+    never changes sign variations)."""
+    return _remainder_sequence(p.primitive_part(),
+                               p.derivative().primitive_part())
 
 
 def _sign_variations(seq: Sequence[IntPolynomial], at: Fraction) -> int:

@@ -326,13 +326,6 @@ class StripFamily:
 # The closed form near 4, in floats
 # ----------------------------------------------------------------------------
 
-#: A float sign of the closed form that nothing checks again (the probe scan
-#: of roots, which reads ClosedForm.value against ClosedForm.margin) is
-#: trusted only when the value exceeds its rounding error bound SIGN_SAFETY
-#: times over.
-SIGN_SAFETY = 2 ** 10
-
-
 def _at_four_minus_eps(p: IntPolynomial, n: int | None = None) -> list:
     """Coefficients of p(4 - eps) in eps, constant term first: all of them,
     or the first n (padded with zeros)."""
@@ -353,8 +346,8 @@ def _horner(cs: tuple, eps: float) -> tuple:
 
 
 class ClosedForm:
-    """The strip family at x = 4 - eps, 0 < eps <= 1/2, in Python floats,
-    from its eigenvalues instead of from powers.
+    """The sign of the strip family at x = 4 - eps, 0 < eps <= 1/2, in
+    Python floats, from its eigenvalues instead of from powers.
 
     With eps = 4 - x, CHAR_B1 = -4 + eps beta(eps) and the discriminant of
     the quadratic factor CHAR_B1^2 - 4 CHAR_B2 = eps^2 Dt(eps), where
@@ -399,16 +392,26 @@ class ClosedForm:
             self._polys = None
         # Horner's rule and the dozen float operations after it.
         degree = max(p.degree for p in polys)
-        self.margin = SIGN_SAFETY * (2 * degree + 20) * 2.0 ** -53
+        self._rounding = (2 * degree + 20) * 2.0 ** -53
 
-    def value(self, n: int, eps: float) -> tuple:
-        """(v, size): v has the sign of X(n)(4 - eps), and its rounding
-        error is below margin / SIGN_SAFETY times size, the sum of the
-        magnitudes (polynomial terms in absolute value) that v is computed
-        from; (0, inf) when the coefficients exceed the float range.
-        Requires 0 < eps <= 1/2."""
-        if self._polys is None:
-            return 0.0, math.inf
+    def sign(self, n: int, x: Fraction, safety: int) -> int:
+        """The sign of X(n)(x), or 0 where floats cannot decide it: off
+        the dyadic x = 4 - eps with eps a double in (0, 1/2], beyond the
+        float range, or within `safety` times the rounding error bound of
+        the value v, _rounding times the sum of the magnitudes that v is
+        computed from."""
+        b = x.denominator
+        gap = 4 * b - x.numerator      # eps = gap / b, gap odd when b > 1
+        if b & (b - 1) or not 0 < 2 * gap <= b or gap >= 2 ** 53 \
+                or self._polys is None:
+            return 0
+        value, size = self._value(n, gap / b)
+        if abs(value) > safety * self._rounding * size:
+            return 1 if value > 0 else -1
+        return 0
+
+    def _value(self, n: int, eps: float) -> tuple:
+        """(v, size) at 4 - eps, 0 < eps <= 1/2 (see sign)."""
         x1, x2, g, r, dt, beta = self._polys
         if n == 1:
             return _horner(x1, eps)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from chromroots import transfer
 from chromroots.chromatic import PartitionVector
 from chromroots.exactnum import IntPolynomial
-from chromroots.roots import (BRACKET_MAX_K, NoSignChangeError,
-                              NonPositiveAtFourError, RootBracket,
+from chromroots.roots import (BRACKET_MAX_K, SIGN_SAFETY, NoSignChangeError,
+                              NonPositiveAtFourError, RootBracket, bisect,
                               bracket_near_four, largest_root_near_four,
                               sturm_count)
 from chromroots.tables import BY_N_ROWS, DOUBLING_ROWS
@@ -191,13 +191,26 @@ def test_float_values_near_zero_far_from_four_cost_few_exact_signs(q_h, calls):
 
 
 def test_float_signs_agree_with_exact_signs(family_hw4):
+    """At SIGN_SAFETY on the probes, and at safety 1 on the midpoints of
+    an exact bisection to 30 digits, where some values lie between the two
+    bounds."""
     closed = family_hw4.closed_form
     for n in (1, 2, 3, 20, 257):
         for k in range(1, BRACKET_MAX_K + 1):
-            value, size = closed.value(n, 2.0 ** -k)
-            if abs(value) > closed.margin * size:
-                assert (1 if value > 0 else -1) == \
-                    family_hw4.sign_at(n, 4 - Fraction(1, 2 ** k))
+            x = 4 - Fraction(1, 2 ** k)
+            s = closed.sign(n, x, SIGN_SAFETY)
+            assert s in (0, family_hw4.sign_at(n, x)), (n, k)
+    between = 0
+    for n in (20, 257):
+        mids = []
+        bisect(bracket_near_four(family_hw4, n),
+               lambda x: mids.append(x) or family_hw4.sign_at(n, x),
+               Fraction(1, 10 ** 31))
+        for x in mids:
+            s = closed.sign(n, x, 1)
+            assert s in (0, family_hw4.sign_at(n, x)), (n, x)
+            between += s != 0 and not closed.sign(n, x, SIGN_SAFETY)
+    assert between
 
 
 def test_closed_form_has_real_eigenvalues_on_its_interval():
@@ -216,6 +229,4 @@ def test_closed_form_has_real_eigenvalues_on_its_interval():
 def test_closed_form_beyond_the_float_range_defers_to_exact_signs():
     huge = IntPolynomial((2 ** 1100, 1))
     closed = ClosedForm((huge,) * 4, huge)
-    value, size = closed.value(5, 0.25)
-    assert (value, size) == (0.0, float("inf"))
-    assert not abs(value) > closed.margin * size
+    assert closed.sign(5, Fraction(15, 4), 1) == 0

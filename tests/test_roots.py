@@ -75,6 +75,12 @@ def test_sturm_counts():
     assert sturm_count(cube, Fraction(3), Fraction(4)) == 0
     # Repeated roots count once.
     assert sturm_count(IntPolynomial([1, -2, 1]), Fraction(0), Fraction(2)) == 1
+    # Chains with negative pseudo-remainder multipliers: without the sign
+    # correction of the remainder sequence these count 2 and 0.
+    assert sturm_count(IntPolynomial([-3, 2, 0, 0, -3]),
+                       Fraction(-2), Fraction(4)) == 0
+    assert sturm_count(IntPolynomial([-2, 1, 3, -4, 2]),
+                       Fraction(-5), Fraction(5)) == 2
 
 
 def test_sturm_randomised_linear_factors():
