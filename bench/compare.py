@@ -11,7 +11,10 @@ workload and side the summary of perfbench/baseline.py (median, quartiles,
 spread, n) of every end-to-end metric and of the checks' failure fraction,
 the number of pairs the change won on each metric (ties count for neither
 side), and the same summary of the traced layer metrics named in
-LAYER_METRICS below.  Runs are strictly one at a time.
+LAYER_METRICS below.  Its `cold_start` section gives, for PAIRS alternating
+pairs, the wall seconds of each command line in COLD_COMMANDS run cold by
+`python -m chromroots` in each checkout with PYTHONPATH=src, in the same
+summary.  Runs are strictly one at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -37,6 +41,9 @@ LAYER_METRICS = ("chromatic.self_s", "chromatic.cache_entries",
                  "roots.bracket_s", "roots.bisect_s",
                  "roots.croots_s", "roots.sturm_s", "roots.sturm_chain_len",
                  "transfer.golden_s")
+#: Command lines timed cold in each checkout, by metric name.
+COLD_COMMANDS = {"reproduce_tables_s": ["reproduce-tables"],
+                 "version_s": ["--version"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int,
@@ -50,24 +57,44 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int,
     return json.loads(out.strip().splitlines()[-1])
 
 
+def cold_start_once(checkout: Path) -> dict:
+    """Wall seconds of each command line of COLD_COMMANDS in a fresh
+    interpreter, from process start to exit."""
+    env = dict(os.environ, PYTHONPATH="src")
+    out = {}
+    for name, argv in COLD_COMMANDS.items():
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "chromroots", *argv],
+                       cwd=checkout, env=env, capture_output=True, check=True)
+        out[name] = time.perf_counter() - start
+    return out
+
+
 def values_of(result: dict) -> dict:
     out = {name: m["value"] for name, m in result["metrics"].items()}
     out["fail_frac"] = result["failed"] / max(result["attempted"], 1)
     return out
 
 
-def run_pairs(sides: dict, workload: str, seeds: range, seconds: int,
-              trace: int) -> dict:
-    """{side: [values per run]}, the sides alternating which goes first."""
+def run_pairs(sides: dict, seeds: range, measure, tag: str) -> dict:
+    """{side: [measure(checkout, seed) per run]}, the sides alternating
+    which goes first."""
     runs = {side: [] for side in sides}
     for seed in seeds:
         order = list(sides) if seed % 2 else list(sides)[::-1]
         for side in order:
-            result = run_once(sides[side], workload, seed, seconds, trace)
-            runs[side].append(values_of(result))
-            print(f"{workload} trace={trace} seed={seed} {side} "
-                  f"correct={result['correct']}", file=sys.stderr, flush=True)
+            runs[side].append(measure(sides[side], seed))
+            print(f"{tag} seed={seed} {side}", file=sys.stderr, flush=True)
     return runs
+
+
+def workload_pairs(sides: dict, workload: str, seeds: range, seconds: int,
+                   trace: int) -> dict:
+    return run_pairs(
+        sides, seeds,
+        lambda checkout, seed: values_of(
+            run_once(checkout, workload, seed, seconds, trace)),
+        f"{workload} trace={trace}")
 
 
 def compare(runs: dict, names: list) -> dict:
@@ -103,11 +130,16 @@ def main() -> int:
               "workloads": {}}
     for w in spec["workloads"]:
         name = w["name"]
-        runs = run_pairs(sides, name, range(1, PAIRS + 1), seconds, 0)
-        traced = run_pairs(sides, name, range(1, TRACED_PAIRS + 1), seconds, 1)
+        runs = workload_pairs(sides, name, range(1, PAIRS + 1), seconds, 0)
+        traced = workload_pairs(sides, name, range(1, TRACED_PAIRS + 1),
+                                seconds, 1)
         report["workloads"][name] = {
             "end_to_end": compare(runs, end_to_end),
             "per_layer": compare(traced, list(LAYER_METRICS))}
+    cold = run_pairs(sides, range(1, PAIRS + 1),
+                     lambda checkout, seed: cold_start_once(checkout),
+                     "cold start")
+    report["cold_start"] = compare(cold, list(COLD_COMMANDS))
     out = args.change / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -33,7 +33,9 @@ overflow), then in mpmath from those seeds (the staged precision of MPSolve: Bin
 Bini and Fiorentino, Numer. Algorithms 23, 2000).  In both stages a root
 whose value has reached the round-off floor is settled and never evaluated
 again.  The number of real roots is Sturm's exact count, not a tolerance on
-the imaginary parts.
+the imaginary parts.  The complex-root finder is the only code that uses
+mpmath, and it imports mpmath where it runs, so real-root isolation and
+Sturm counts never load it.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
-
-import mpmath as mp
 
 from .exactnum import IntPolynomial
 from .transfer import StripFamily
@@ -281,14 +281,13 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p with repeated factors collapsed to multiplicity one (one gcd with
-    p'); the reference path that sturm_count is tested against."""
+    """The primitive part of p, with the sign of its leading coefficient,
+    and repeated factors collapsed to multiplicity one (one gcd with p');
+    the reference path that sturm_count is tested against."""
+    p = p.primitive_part()
     if p.degree <= 0:
         return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p
-    return p.primitive_part().divide_exact(g)
+    return p.divide_exact(poly_gcd(p, p.derivative()))
 
 
 def squarefree_factors(p: IntPolynomial) -> List[Tuple[IntPolynomial, int]]:
@@ -402,6 +401,7 @@ class ComplexRootSet:
 
     @property
     def max_residual(self):
+        import mpmath as mp
         return max(self.residuals) if self.residuals else mp.mpf(0)
 
     def real_roots(self) -> list:
@@ -474,6 +474,7 @@ def _seeds(factor: IntPolynomial) -> list:
     a tiny relative offset, since the multiprecision stage divides by
     z_j - z_k.  The seeds are returned as mpmath numbers centre + radius y.
     """
+    import mpmath as mp
     d = factor.degree
     centre = round(Fraction(-factor.coefficient(d - 1),
                             d * factor.leading_coefficient()))
@@ -514,6 +515,7 @@ def _real_and_conjugate(z: Sequence, real_count: int) -> list:
     exactly `real_count` real roots: the real_count roots nearest the real
     axis get im = 0, and each remaining root in the upper half-plane is
     emitted with its conjugate."""
+    import mpmath as mp
     by_im = sorted(z, key=lambda t: abs(mp.im(t)))
     rest = by_im[real_count:]
     upper = [t for t in rest if mp.im(t) > 0]
@@ -547,6 +549,7 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
     coefficients at doubled precision, relative to sum_i |c_i| |z|^i (see
     ComplexRootSet).
     """
+    import mpmath as mp
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     if p.degree > MAX_DEGREE:

@@ -192,6 +192,11 @@ def test_poly_gcd_and_squarefree():
     factors = squarefree_factors(a)
     assert (IntPolynomial([2, 1]), 1) in factors
     assert (IntPolynomial([-1, 1]), 3) in factors
+    # Always the primitive part, with the sign of lc(p), squarefree or not.
+    for p, part in (([-2, 0, 2], [-1, 0, 1]),        # 2x^2 - 2
+                    ([2, 0, -2], [1, 0, -1]),        # -2x^2 + 2
+                    ([2, -2, -2, 2], [-1, 0, 1])):   # 2 (x - 1)^2 (x + 1)
+        assert squarefree_part(IntPolynomial(p)) == IntPolynomial(part)
 
 
 def test_bracket_near_four_same_class_fails(q_w4):

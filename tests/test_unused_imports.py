@@ -1,5 +1,5 @@
 """No module of the package keeps a top-level import that it never uses
-(stdlib only: ast).  __init__.py is exempt: its imports are re-exports."""
+(stdlib only: ast)."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chromroots"
-MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
 def unused_top_level_imports(source: str) -> list:
