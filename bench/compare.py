@@ -43,7 +43,9 @@ LAYER_METRICS = ("chromatic.self_s", "chromatic.cache_entries",
                  "transfer.golden_s")
 #: Command lines timed cold in each checkout, by metric name.
 COLD_COMMANDS = {"reproduce_tables_s": ["reproduce-tables"],
-                 "version_s": ["--version"]}
+                 "version_s": ["--version"],
+                 "croots_s": ["croots", "--endA", "H", "--endB", "W4",
+                              "--n", "10"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int,

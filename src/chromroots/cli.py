@@ -38,18 +38,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .chromatic import (ResourceLimitError, chromatic_polynomial,
-                        partitioned_chromatic)
+from .chromatic import ResourceLimitError
 from .graphs import FIXTURE_NAMES, FramedGraph, load_fixture, parse_graph_text
-from .roots import (MAX_DEGREE, NoSignChangeError, NonPositiveAtFourError,
-                    RootConvergenceError, complex_roots, fraction_to_decimal,
-                    largest_root_near_four)
-from .spectral import classify_end_graph
-from .tables import (BY_N_ROWS, DOUBLING_ROWS, ROOT_TOLERANCE,
-                     reference_partition_components, reference_roots_by_n,
-                     reference_roots_doubling)
-from .transfer import (StripFamily, golden_identity_check,
-                       verify_M_against_oracle)
+
+# Each subcommand imports what it runs, so that a command loads only the
+# modules it uses (poly and qvec load neither transfer, roots, spectral nor
+# tables, and only croots loads mpmath).
 
 #: Caps on the pointwise options.  Every bundled table row fits: strip 513
 #: at 10 digits for root4, and 256 bits for croots.  On a 2-core x86-64
@@ -71,8 +65,9 @@ MAX_BITS = 1024
 MAX_SYMBOLIC_N = 512
 #: Cap on verify-golden --n and --max-n.
 MAX_GOLDEN_N = 128
-#: Cap on reproduce-tables --max-n: the largest row of either table.
-MAX_TABLE_N = max(BY_N_ROWS + DOUBLING_ROWS)
+#: Cap on reproduce-tables --max-n: the largest row of either table
+#: (tables.BY_N_ROWS and tables.DOUBLING_ROWS).
+MAX_TABLE_N = 512
 
 
 def _check_range(option: str, value: int, lo: int, hi: int) -> None:
@@ -103,6 +98,7 @@ def _load_family(args, max_vertices: int | None = None) -> tuple:
     """(family, size): the strip family of --endA and --endB, whose n-layer
     strip has size + 4n vertices.  With max_vertices, --n is first capped
     to strips of at most that many vertices, before the engine runs."""
+    from .transfer import StripFamily
     ends = _load_framed(args.endA), _load_framed(args.endB)
     size = sum(end.graph.vertex_count for end in ends) - 8
     if max_vertices is not None:
@@ -131,6 +127,7 @@ def _fraction_str(q: Fraction) -> str:
 # ----------------------------------------------------------------------------
 
 def cmd_poly(args) -> int:
+    from .chromatic import chromatic_polynomial
     g = _load_graph(args.graph)
     graph = g.graph if isinstance(g, FramedGraph) else g
     p = chromatic_polynomial(graph)
@@ -142,6 +139,7 @@ def cmd_poly(args) -> int:
 
 
 def cmd_qvec(args) -> int:
+    from .chromatic import partitioned_chromatic
     fg = _load_framed(args.graph)
     q = partitioned_chromatic(fg)
     payload = {"frame": list(fg.frame), "components": q.to_json()}
@@ -161,6 +159,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_root4(args) -> int:
+    from .roots import (NoSignChangeError, NonPositiveAtFourError,
+                        largest_root_near_four)
     _check_range("--n", args.n, 1, MAX_POINTWISE_N)
     _check_range("--digits", args.digits, 0, MAX_DIGITS)
     fam, _ = _load_family(args)
@@ -185,6 +185,8 @@ def cmd_root4(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .chromatic import partitioned_chromatic
+    from .spectral import classify_end_graph
     fg = _load_framed(args.graph)
     q = partitioned_chromatic(fg)
     c = classify_end_graph(q)
@@ -199,6 +201,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .spectral import classify_end_graph
     fam, _ = _load_family(args)
     verdict_a = classify_end_graph(fam.qa).verdict
     verdict_b = classify_end_graph(fam.qb).verdict
@@ -212,6 +215,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_verify_golden(args) -> int:
+    from .transfer import golden_identity_check
     if args.max_n is None:
         ns = [2 if args.n is None else args.n]
         _check_range("--n", ns[0], 1, MAX_GOLDEN_N)
@@ -235,6 +239,7 @@ def cmd_verify_golden(args) -> int:
 
 
 def cmd_verify_m(args) -> int:
+    from .transfer import verify_M_against_oracle
     report = verify_M_against_oracle()
     payload = {"passed": report.passed,
                "entries": {f"{i + 1},{j + 1}": report.entry_ok[(i, j)]
@@ -248,13 +253,19 @@ def cmd_verify_m(args) -> int:
 
 
 def cmd_croots(args) -> int:
+    import mpmath as mp
+
+    from .roots import MAX_DEGREE, RootConvergenceError, complex_roots
     _check_range("--bits", args.bits, 1, MAX_BITS)
     # The strip polynomial's degree is its vertex count.
     fam, _ = _load_family(args, max_vertices=MAX_DEGREE)
     p = fam.polynomial(args.n)
-    rs = complex_roots(p, args.bits)
+    try:
+        rs = complex_roots(p, args.bits)
+    except RootConvergenceError as exc:
+        sys.stderr.write(f"no convergence: {exc}\n")
+        return 1
     lines = ["re,im"]
-    import mpmath as mp
     digits = max(10, args.bits // 4)
     for re, im in rs.roots:
         lines.append(f"{mp.nstr(re, digits)},{mp.nstr(im, digits)}")
@@ -271,6 +282,12 @@ def cmd_croots(args) -> int:
 # -- table reproduction -------------------------------------------------------
 
 def cmd_reproduce_tables(args) -> int:
+    from .chromatic import partitioned_chromatic
+    from .roots import fraction_to_decimal, largest_root_near_four
+    from .tables import (BY_N_ROWS, DOUBLING_ROWS, ROOT_TOLERANCE,
+                         reference_partition_components, reference_roots_by_n,
+                         reference_roots_doubling)
+    from .transfer import StripFamily
     _check_range("--max-n", args.max_n, 1, MAX_TABLE_N)
     which = args.only or "all"
     report = {}
@@ -415,9 +432,6 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return 2
-    except RootConvergenceError as exc:
-        sys.stderr.write(f"no convergence: {exc}\n")
-        return 1
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -29,13 +29,18 @@ exactly, and runs Aberth-Ehrlich simultaneous iteration on each squarefree
 factor of the rest in two stages of one iteration function: first in Python
 floats on the factor shifted to its root centroid, scaled to its root
 radius and normalised by its largest coefficient (so no float can
-overflow), then in mpmath from those seeds (the staged precision of MPSolve: Bini, Numer. Algorithms 13, 1996;
-Bini and Fiorentino, Numer. Algorithms 23, 2000).  In both stages a root
-whose value has reached the round-off floor is settled and never evaluated
-again.  The number of real roots is Sturm's exact count, not a tolerance on
-the imaginary parts.  The complex-root finder is the only code that uses
-mpmath, and it imports mpmath where it runs, so real-root isolation and
-Sturm counts never load it.
+overflow), then from those seeds in Gaussian fixed-point numbers
+(x + iy) / 2^f with x and y Python ints (the staged precision of MPSolve:
+Bini, Numer. Algorithms 13, 1996; Bini and Fiorentino, Numer. Algorithms
+23, 2000).  That stage needs only a fixed relative accuracy, which Python
+ints give at C speed; mpmath floats without gmpy spend most of their time
+in the interpreter.  In both stages a root whose value has reached the
+round-off floor is settled and never evaluated again.  The number of real
+roots is Sturm's exact count, not a tolerance on the imaginary parts.  The
+complex-root finder is the only code that uses mpmath (for the seeds'
+radius, its output numbers and its residuals, evaluated apart from the
+fixed-point arithmetic), and it imports mpmath where it runs, so real-root
+isolation and Sturm counts never load it.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .exactnum import IntPolynomial
@@ -56,7 +62,7 @@ DEFAULT_WIDTH = Fraction(1, 10 ** 11)
 #: Degree cap of complex_roots.
 MAX_DEGREE = 600
 #: Sweep cap of each Aberth-Ehrlich stage of complex_roots.  H,W4 at n = 30
-#: and 256 bits settles in 107 float and 17 multiprecision sweeps.
+#: and 256 bits settles in 107 float and 17 fixed-point sweeps.
 MAX_SWEEPS = 400
 
 
@@ -381,7 +387,7 @@ def sturm_count(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
 
 
 # ----------------------------------------------------------------------------
-# Complex roots (Aberth-Ehrlich, mpmath multiprecision)
+# Complex roots (Aberth-Ehrlich, floats then Gaussian fixed point)
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -415,10 +421,92 @@ def _horner(cs, t):
     return acc
 
 
+class _Gauss:
+    """The Gaussian fixed-point number (x + iy) / 2^f, with x and y Python
+    ints: the number type of the multiprecision Aberth-Ehrlich stage.
+
+    Sums are exact; products and quotients are truncated to a multiple of
+    2^-f.  An int or complex operand is lifted exactly.  abs gives the
+    magnitude, truncated, as a real _Gauss, and <= compares real parts,
+    which is all the settle test asks of it.
+    """
+
+    __slots__ = ("x", "y", "f")
+
+    def __init__(self, x: int, y: int, f: int):
+        self.x, self.y, self.f = x, y, f
+
+    @classmethod
+    def from_mpc(cls, z, f: int) -> "_Gauss":
+        """The mpmath complex z truncated to a multiple of 2^-f, read from
+        its binary parts, so that no rounding at a working precision can
+        merge nearby seeds."""
+        parts = []
+        for sign, man, exp, _ in z._mpc_:
+            shift = exp + f
+            v = int(man) << shift if shift >= 0 else int(man) >> -shift
+            parts.append(-v if sign else v)
+        return cls(*parts, f)
+
+    def _lift(self, value) -> "_Gauss":
+        if isinstance(value, _Gauss):
+            return value
+        f = self.f
+        if isinstance(value, int):
+            return _Gauss(value << f, 0, f)
+        re, im = Fraction(value.real), Fraction(value.imag)
+        return _Gauss((re.numerator << f) // re.denominator,
+                      (im.numerator << f) // im.denominator, f)
+
+    def __add__(self, other):
+        if other.__class__ is not _Gauss:
+            other = self._lift(other)
+        return _Gauss(self.x + other.x, self.y + other.y, self.f)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is not _Gauss:
+            other = self._lift(other)
+        return _Gauss(self.x - other.x, self.y - other.y, self.f)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        if other.__class__ is not _Gauss:
+            other = self._lift(other)
+        a, b, c, d, f = self.x, self.y, other.x, other.y, self.f
+        return _Gauss((a * c - b * d) >> f, (a * d + b * c) >> f, f)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if other.__class__ is not _Gauss:
+            other = self._lift(other)
+        a, b, c, d, f = self.x, self.y, other.x, other.y, self.f
+        norm = c * c + d * d
+        return _Gauss(((a * c + b * d) << f) // norm,
+                      ((b * c - a * d) << f) // norm, f)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __abs__(self):
+        return _Gauss(isqrt(self.x * self.x + self.y * self.y), 0, self.f)
+
+    def __le__(self, other):
+        return self.x <= other.x
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return self.x == other.x and self.y == other.y
+
+
 def _aberth_iterate(coeffs: Sequence, z: Sequence, unit) -> Tuple[list, bool]:
     """Aberth-Ehrlich simultaneous iteration on a squarefree polynomial
     (coefficients constant first) from the starting points `z`, in the
-    number type of the inputs (Python complex or mpmath) whose round-off
+    number type of the inputs (Python complex or _Gauss) whose round-off
     unit is `unit`.  Returns the last iterate and whether every root
     settled within MAX_SWEEPS sweeps.
 
@@ -466,7 +554,7 @@ def _seeds(factor: IntPolynomial) -> list:
     shift is exact.  The power basis about the centroid is far better
     conditioned than about 0: for the H,W4 strip at n=10 the median
     relative error of the float seeds is 7e-14 about the centroid and 0.3
-    about 0, and the mpmath stage needs 4 sweeps instead of 29.  The
+    about 0, and the multiprecision stage needs 4 sweeps instead of 29.  The
     scaling keeps every coefficient of g in [-1, 1], so degree-600 factors
     with coefficients far above 2^1024 cannot overflow a float.  An
     iteration that does not settle passes on its last iterate.  Seeds that
@@ -528,6 +616,22 @@ def _real_and_conjugate(z: Sequence, real_count: int) -> list:
     return out
 
 
+def _guard_bits(cs: Sequence[int]) -> int:
+    """Bits that the multiprecision stage's 2^-f resolution needs beyond
+    the working precision for the polynomial with integer coefficients cs
+    (constant first): the bit length of its Fujiwara root bound
+    2 max_k |c_(d-k) / c_d|^(1/k), so that 1 / (z_j - z_k) for roots far
+    apart keeps its digits (else it truncates to 0 and the step degrades to
+    Newton's), plus bitlen(max |c_i|) - bitlen(|c_0|) + 1, so that a root
+    far below 1 does."""
+    d = len(cs) - 1
+    lead = abs(cs[-1]).bit_length()
+    large = 1 + max(-((lead - 1 - abs(cs[d - k]).bit_length()) // k)
+                    for k in range(1, d + 1))
+    small = max(abs(c).bit_length() for c in cs) - abs(cs[0]).bit_length() + 1
+    return max(large, 0) + small
+
+
 def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet:
     """All complex roots of p at the requested working precision.
 
@@ -538,16 +642,19 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
     right multiplicity.  The iteration runs twice, at most MAX_SWEEPS
     sweeps each: first in Python floats on the factor shifted to the roots'
     centroid, scaled to its root radius and normalised by its largest
-    coefficient (the seeds, see _seeds), then in mpmath from those seeds.
-    In both, a root that has reached the round-off floor is settled and not
-    evaluated again.  The number of real roots of each
-    factor is Sturm's exact count on (-B, B], B a Cauchy bound: that many
-    roots nearest the real axis are made real and the rest are emitted in
-    conjugate pairs.  One retry of the mpmath stage at doubled precision
-    when it does not settle or its non-real roots do not split evenly
-    between the half-planes.  Residuals are evaluated against the original
-    coefficients at doubled precision, relative to sum_i |c_i| |z|^i (see
-    ComplexRootSet).
+    coefficient (the seeds, see _seeds), then from those seeds, read
+    exactly, in _Gauss numbers with 2^-f resolution, f the working
+    precision plus 32 plus _guard_bits.  In both, a root that has reached
+    the round-off floor is settled and not evaluated again.  The settled
+    iterates are converted exactly to mpmath numbers.  The number of real
+    roots of each factor is Sturm's exact count on (-B, B], B a Cauchy
+    bound: that many roots nearest the real axis are made real and the rest
+    are emitted in conjugate pairs.  One retry of the fixed-point stage at
+    doubled precision when it does not settle or its non-real roots do not
+    split evenly between the half-planes.  Residuals are evaluated in
+    mpmath against the original coefficients at doubled precision,
+    relative to sum_i |c_i| |z|^i (see ComplexRootSet), a check
+    independent of the fixed-point arithmetic.
     """
     import mpmath as mp
     if p.degree < 1:
@@ -562,16 +669,23 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
         bound = Fraction(2 + max(map(abs, cs[:-1])) // abs(cs[-1]))
         real_count = sturm_count(factor, -bound, bound)
         seeds = _seeds(factor)
+        guard = _guard_bits(cs)
         for attempt, prec in enumerate((precision_bits, 2 * precision_bits)):
             try:
-                with mp.workprec(prec + 32):
-                    monic = [mp.mpf(c) / cs[-1] for c in cs]
-                    z, settled = _aberth_iterate(
-                        monic, seeds, mp.mpf(2) ** -(prec + 8))
-                    if not settled:
-                        raise RootConvergenceError(
-                            f"no convergence after {MAX_SWEEPS} sweeps")
-                    froots = _real_and_conjugate(z, real_count)
+                f = prec + 32 + guard
+                z, settled = _aberth_iterate(
+                    [_Gauss((c << f) // cs[-1], 0, f) for c in cs],
+                    [_Gauss.from_mpc(s, f) for s in seeds],
+                    _Gauss(1 << (f - prec - 8), 0, f))
+                if not settled:
+                    raise RootConvergenceError(
+                        f"no convergence after {MAX_SWEEPS} sweeps")
+                # A working precision that holds every x and y exactly.
+                with mp.workprec(max(abs(v).bit_length()
+                                     for t in z for v in (t.x, t.y, 1))):
+                    froots = _real_and_conjugate(
+                        [mp.mpc(mp.mpf((t.x, -f)), mp.mpf((t.y, -f)))
+                         for t in z], real_count)
                 break
             except RootConvergenceError:
                 if attempt:

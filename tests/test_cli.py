@@ -12,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from chromroots import chromatic, cli, roots
+from chromroots import chromatic, roots
 from chromroots.cli import (MAX_BITS, MAX_DIGITS, MAX_GOLDEN_N,
                             MAX_POINTWISE_N, MAX_SYMBOLIC_N, MAX_TABLE_N, main)
 from chromroots.graphs import MAX_VERTICES
 from chromroots.roots import MAX_DEGREE
-from chromroots.tables import DOUBLING_ROWS
+from chromroots.tables import BY_N_ROWS, DOUBLING_ROWS
 from chromroots.transfer import StripFamily
 
 
@@ -146,6 +146,7 @@ def test_pointwise_caps(capsys):
     # Every bundled table row fits under the caps.
     assert max(DOUBLING_ROWS) + 1 <= MAX_POINTWISE_N
     assert 10 <= MAX_DIGITS and 256 <= MAX_BITS
+    assert MAX_TABLE_N == max(BY_N_ROWS + DOUBLING_ROWS)
 
 
 def test_croots_degree_cap_before_building_the_strip(capsys, monkeypatch):
@@ -173,7 +174,8 @@ def test_family_caps_before_building_the_strip(capsys, monkeypatch):
 
 
 def test_max_n_range_before_any_engine_work(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "partitioned_chromatic",
+    # cmd_reproduce_tables imports partitioned_chromatic when it runs.
+    monkeypatch.setattr(chromatic, "partitioned_chromatic",
                         lambda *a, **kw: pytest.fail("engine ran"))
     for max_n in ("-2", "0", str(MAX_TABLE_N + 1)):
         _assert_one_line_error(capsys, "reproduce-tables", "--only", "table2",

@@ -315,6 +315,45 @@ def test_complex_roots_scaling_prevents_float_overflow():
     assert all(res < mp.mpf(2) ** -200 for res in rs.residuals)
 
 
+def test_complex_roots_resolves_a_root_far_below_one():
+    # The root 1 / (3 2^200), which no binary fraction equals, and +-i: a
+    # fixed-point stage whose resolution does not reach far below the
+    # smallest root would lose its digits.
+    p = IntPolynomial([-1, 3 * 2 ** 200]) * IntPolynomial([1, 0, 1])
+    rs = complex_roots(p, 256)
+    assert len(rs.roots) == 3
+    with mp.workprec(600):
+        (small,) = rs.real_roots()
+        assert abs(small * 3 * 2 ** 200 - 1) <= mp.mpf(2) ** -200
+        for z in (mp.mpc(0, 1), mp.mpc(0, -1)):
+            assert sum(abs(mp.mpc(re, im) - z) <= mp.mpf(2) ** -200
+                       for re, im in rs.roots) == 1
+
+
+def test_complex_roots_agree_with_mpmath_polyroots(family_hw4):
+    """complex_roots at 128 bits against mpmath.polyroots, a solver
+    independent of it, on neg10 and on H,W4 at n = 1..3: polyroots runs on
+    the squarefree factors of each polynomial with its integer roots
+    0, 1, 2, ... divided out, and those integer roots are compared as
+    they are."""
+    polys = [chromatic_polynomial(load_fixture("neg10").graph)]
+    polys += [family_hw4.polynomial(n) for n in (1, 2, 3)]
+    for p in polys:
+        rs = complex_roots(p, 128)
+        rest, integer_roots = roots._deflate_small_integer_roots(p)
+        with mp.workprec(128):
+            ours = [mp.mpc(re, im) for re, im in rs.roots]
+            reference = list(integer_roots.items())
+            for factor, mult in squarefree_factors(rest):
+                cs = [mp.mpf(c) for c in reversed(factor.coefficients)]
+                reference += [(w, mult) for w in
+                              mp.polyroots(cs, maxsteps=100, extraprec=64)]
+            assert sum(mult for _, mult in reference) == len(ours) == p.degree
+            for w, mult in reference:
+                assert sum(abs(z - w) <= mp.mpf(2) ** -100 * max(1, abs(z))
+                           for z in ours) == mult
+
+
 def test_complex_roots_emits_the_integer_roots_exactly(family_hw4, monkeypatch):
     """H,W4 at n=10 is x(x-1)(x-2)(x-3)^10 r: Yun runs on r alone, the
     roots 0, 1, 2 and 3 (ten times) come out exact with residual 0, and the

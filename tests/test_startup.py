@@ -1,5 +1,6 @@
 """Start-up loads only what a run uses: importing the package loads none
-of its modules, and only the complex-root finder (croots) loads mpmath.
+of its modules, poly and qvec load no strip or root module, and only the
+complex-root finder (croots) loads mpmath.
 Each check runs in a fresh interpreter, since this one has loaded all of
 them."""
 
@@ -54,15 +55,25 @@ def test_the_benchmark_setup_imports_leave_roots_spectral_and_mpmath_out():
     assert not {"mpmath", "chromroots.roots", "chromroots.spectral"} & mods
 
 
-@pytest.mark.parametrize("argv", [
-    ("reproduce-tables", "--max-n", "3"),
-    ("classify", "H"),
-    ("root4", "--endA", "H", "--endB", "W4", "--n", "10"),
-], ids=lambda argv: argv[0])
-def test_commands_but_croots_never_load_mpmath(argv):
+@pytest.mark.parametrize("argv, runs", [
+    pytest.param(argv, runs, id=argv[0]) for argv, runs in [
+        (("reproduce-tables", "--max-n", "3"), "chromroots.roots"),
+        (("classify", "H"), "chromroots.spectral"),
+        (("root4", "--endA", "H", "--endB", "W4", "--n", "10"),
+         "chromroots.roots")]])
+def test_commands_but_croots_never_load_mpmath(argv, runs):
     mods = modules_after_cli(*argv)
-    assert "chromroots.roots" in mods
+    assert runs in mods
     assert "mpmath" not in mods
+
+
+@pytest.mark.parametrize("argv", [("poly", "W4"), ("qvec", "W4")],
+                         ids=lambda argv: argv[0])
+def test_graph_commands_load_no_strip_or_root_module(argv):
+    mods = modules_after_cli(*argv)
+    assert "chromroots.chromatic" in mods
+    assert not {"chromroots.transfer", "chromroots.roots",
+                "chromroots.spectral", "chromroots.tables", "mpmath"} & mods
 
 
 def test_croots_loads_mpmath():
