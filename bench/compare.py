@@ -45,7 +45,9 @@ LAYER_METRICS = ("chromatic.self_s", "chromatic.cache_entries",
 COLD_COMMANDS = {"reproduce_tables_s": ["reproduce-tables"],
                  "version_s": ["--version"],
                  "croots_s": ["croots", "--endA", "H", "--endB", "W4",
-                              "--n", "10"]}
+                              "--n", "10"],
+                 "verify_golden_s": ["verify-golden", "--endA", "H",
+                                     "--endB", "W4", "--max-n", "128"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int,

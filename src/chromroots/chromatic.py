@@ -98,11 +98,6 @@ def _words(pattern: tuple, w: list) -> int:
     return len(pattern) + len(w) + sum(map(int.bit_length, w)) // 64
 
 
-def _restricted_growth(pattern: list) -> tuple:
-    names: Dict[int, int] = {}
-    return tuple([names.setdefault(c, len(names)) for c in pattern])
-
-
 def _frontier_dp(masks: tuple) -> list:
     """Coefficients of the chromatic polynomial of the graph with these
     adjacency bitmasks (see the module docstring)."""
@@ -125,17 +120,22 @@ def _frontier_dp(masks: tuple) -> list:
         words = 0
         for pattern, w in states.items():
             forbidden = {pattern[i] for i in adjacent}
-            rest = [pattern[i] for i in kept]
+            # The kept classes, relabelled in restricted-growth order once
+            # per state; v in a class that no kept vertex has, or in a new
+            # colour, takes the next label.
+            names: Dict[int, int] = {}
+            rest = tuple([names.setdefault(pattern[i], len(names))
+                          for i in kept])
             if stays:
-                b = max(pattern, default=-1) + 1
-                moves = [(rest + [c], w) for c in range(b) if c not in forbidden]
-                moves.append((rest + [b], _times_linear(w, b)))
+                b, fresh = max(pattern, default=-1) + 1, len(names)
+                moves = [(rest + (names.get(c, fresh),), w)
+                         for c in range(b) if c not in forbidden]
+                moves.append((rest + (fresh,), _times_linear(w, b)))
             else:
                 # v leaves at once: its colour is any of the x colours but
                 # those of its neighbours.
                 moves = [(rest, _times_linear(w, len(forbidden)))]
-            for pattern_after, weight in moves:
-                key = _restricted_growth(pattern_after)
+            for key, weight in moves:
                 old = merged.get(key)
                 if old is None:
                     created += 1

@@ -228,19 +228,32 @@ class IntPolynomial:
         return IntPolynomial(tuple(i * c for i, c in enumerate(self._c) if i > 0)
                              if len(self._c) > 1 else ())
 
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._c:
-            g = math.gcd(g, c)
-        return g
-
     def primitive_part(self) -> "IntPolynomial":
-        """self / content, keeping the sign of the leading coefficient."""
-        g = self.content()
+        """self over the gcd of its coefficients, keeping the sign of the
+        leading coefficient (self when that gcd is 0 or 1).
+
+        The gcd g of the first and last coefficients is the candidate, and
+        each coefficient takes one divmod by g.  A nonzero remainder m
+        lowers g to gcd(g, m) and scales the quotients already kept by the
+        old g over the new; nothing restarts, so degree d takes d + 1
+        divisions and a gcd per lowering, not d + 1 full-width gcds.
+        """
+        cs = self._c
+        g = math.gcd(cs[0], cs[-1]) if cs else 0
         if g <= 1:
             return self
-        return IntPolynomial(tuple(c // g for c in self._c))
+        out = []
+        for c in cs:
+            q, m = divmod(c, g)
+            if m:
+                lower = math.gcd(g, m)
+                if lower == 1:
+                    return self
+                scale, g = g // lower, lower
+                out = [a * scale for a in out]
+                q = c // g
+            out.append(q)
+        return IntPolynomial(out)
 
     def divide_exact(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Exact quotient self / divisor over the integers.

@@ -11,7 +11,10 @@ Cayley-Hamilton, not from powers of MD.  Both paths start from one cached
 strip head per end pair (X(1..4) and the recurrence's modulus).
 Symbolically, each layer is a few passes of small integers over the
 coefficients in the basis t = x - 3, where the strips vanish to an order
-that grows by one per layer, and one Taylor shift returns to x.
+that grows by one per layer, and one Taylor shift returns to x.  The head
+also holds a cursor, the recurrence's last t-basis window and the length
+it belongs to, so that asking for lengths in ascending order runs each
+layer once.
 Pointwise, s^(n-2) is taken modulo the recurrence by integer
 square-and-multiply (_power_mod, kept apart from exactnum.power for its
 symmetric squaring and shift-multiply).
@@ -149,8 +152,9 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     """X(1..4) of the strip with ends A and B, by gluing and layer
     extension, the low coefficients (constant first) of a monic
     annihilator of the sequence X(2), X(3), ..., all as IntPolynomials,
-    the ClosedForm of the family near 4, and the recurrence's starting
-    window in the basis t = x - 3 (see family_polynomial).
+    the ClosedForm of the family near 4, and (window, terms, cursor): the
+    recurrence's starting window in the basis t = x - 3, the terms of its
+    modulus there, and a cursor (see family_polynomial).
 
     By Cayley-Hamilton the cubic (s - 2)(s^2 + CHAR_B1 s + CHAR_B2)
     annihilates the sequence from n = 2 on.  The residual
@@ -160,7 +164,8 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
 
     The t-basis window holds, for the last len(low) of X(1..4), the power
     of t that X(k)(t + 3) starts at and its coefficients from there on, and
-    for each low[i] the nonzero terms (j, c) of low[i](t + 3).
+    for each low[i] the nonzero terms (j, c) of low[i](t + 3).  The cursor
+    starts as [4, window].
     """
     grown = [qb]
     for _ in range(3):
@@ -177,7 +182,7 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     terms = tuple(tuple((j, c) for j, c in
                         enumerate(m.taylor_shift(3).coefficients) if c)
                   for m in low)
-    return xs, low, ClosedForm(xs, residual), (window, terms)
+    return xs, low, ClosedForm(xs, residual), (window, terms, [4, window])
 
 
 def _lowest_first(cs: Sequence[int]) -> tuple:
@@ -202,13 +207,21 @@ def family_polynomial(qa: PartitionVector, qb: PartitionVector,
     against 562 bits on H,W4 at n = 64), each subtracting c t^j w from the
     new term in place, and one Taylor shift by -3 at the end brings X(n)
     back to x.  The cubic modulus of non-planar ends takes the same loop.
+
+    The head's cursor [k, window] holds the last length k the loop reached
+    and the last len(low) t-basis terms, X(k - len(low) + 1..k), of each
+    cached pair.  The loop resumes from it when k <= n and otherwise starts
+    from the head's window at k = 4, and leaves the cursor at n, so lengths
+    asked in ascending order take one layer step each.  The cursor changes
+    no answer; _strip_head.cache_clear() resets it with the head.
     """
     if n < 1:
         raise ValueError("strip length must be >= 1")
-    xs, _, _, (window, terms) = _strip_head(qa, qb)
+    xs, _, _, (head, terms, cursor) = _strip_head(qa, qb)
     if n <= 4:
         return xs[n - 1]
-    for _ in range(n - 4):
+    k, window = cursor if cursor[0] <= n else (4, head)
+    for _ in range(n - k):
         parts = [(v + j, w, c) for (v, w), ts in zip(window, terms)
                  for j, c in ts]
         lo = min(s for s, _, _ in parts)
@@ -221,6 +234,7 @@ def family_polynomial(qa: PartitionVector, qb: PartitionVector,
             out.pop()
         v, w = _lowest_first(out)
         window = window[1:] + ((lo + v, w),)
+    cursor[:] = n, window
     v, w = window[-1]
     return IntPolynomial([0] * v + w).taylor_shift(-3)
 

@@ -9,13 +9,14 @@ from functools import partial
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromroots.exactnum import (GOLDEN_RATIO, InexactDivisionError,
                                  IntPolynomial, MixedRadicandError, QuadExt,
                                  falling_factorial, falling_factorial_sum,
                                  power, quad_mul, sqrt_rational)
+from chromroots.roots import _deflate_small_integer_roots, sturm_sequence
 
 
 def test_ff_small_cases():
@@ -247,3 +248,51 @@ def test_quad_mul_matches_quadext(entries, b1, b2):
     p, q, r, s = entries
     a, b = quad_mul((p, q), (r, s), b1, b2)
     assert a + b * t == (p + q * t) * (r + s * t)
+
+
+#: 2^200, 2^199, ..., 2^1, then 2^200 again: gcd(first, last) = 2^200 is
+#: the candidate content, and each coefficient after the first lowers it.
+LADDER = [2 ** (200 - i) for i in range(200)] + [2 ** 200]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cs=st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=12),
+       g=st.integers(1, 2 ** 80), f=st.integers(1, 2 ** 80))
+@example(cs=[], g=5, f=7)                                  # zero polynomial
+@example(cs=[-6], g=4, f=9)                                # a constant
+@example(cs=[3, 0, -9], g=2 ** 70, f=1)                    # negative lead
+@example(cs=[1, 2 ** 60, 3 ** 40, 1], g=6, f=2 ** 64 * 5 ** 30)
+@example(cs=LADDER, g=1, f=1)
+@example(cs=LADDER[:-1] + [-2 ** 200], g=3, f=1)
+@example(cs=[2 ** (200 - i) for i in range(201)], g=1, f=1)  # content 1
+def test_primitive_part_matches_the_gcd_oracle(cs, g, f):
+    """Against the coefficients divided by math.gcd of all of them; the
+    first and last coefficients times f make gcd(first, last) far above
+    the content."""
+    cs = list(IntPolynomial([c * g for c in cs]).coefficients)
+    if len(cs) > 1:
+        cs[0] *= f
+        cs[-1] *= f
+    p = IntPolynomial(cs)
+    content = math.gcd(*cs)
+    expected = IntPolynomial([c // content for c in cs]) if cs else p
+    assert p.primitive_part() == expected
+
+
+def _gcd_loop_primitive_part(p):
+    """The primitive part by one gcd per coefficient."""
+    g = 0
+    for c in p.coefficients:
+        g = math.gcd(g, c)
+    return p if g <= 1 else IntPolynomial([c // g for c in p.coefficients])
+
+
+def test_sturm_chains_match_the_gcd_loop_primitive_part(family_hw4,
+                                                        monkeypatch):
+    # The chains that sturm_count builds on H,W4, member by member.
+    rests = [_deflate_small_integer_roots(family_hw4.polynomial(n))[0]
+             for n in range(1, 31)]
+    chains = [sturm_sequence(r) for r in rests]
+    monkeypatch.setattr(IntPolynomial, "primitive_part",
+                        _gcd_loop_primitive_part)
+    assert chains == [sturm_sequence(r) for r in rests]

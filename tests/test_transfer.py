@@ -174,6 +174,42 @@ def test_strip_head_is_built_once_per_pair(q_h, q_w4, monkeypatch):
     assert calls == {"glue": 4, "extend_one_layer": 3}
 
 
+def test_family_polynomial_resumes_from_its_cursor_in_any_order(q_h, q_w4):
+    # Every answer equals the one from a cold head, whatever was asked
+    # before: shuffled lengths with repeats, descending steps, two end pairs
+    # interleaved and the cubic modulus.
+    pairs = [(q_h, q_w4), (q_w4, q_h), (NON_PLANAR, NON_PLANAR)]
+    cold = {}
+    for i, (qa, qb) in enumerate(pairs):
+        for n in range(1, 65):
+            _strip_head.cache_clear()
+            cold[i, n] = family_polynomial(qa, qb, n)
+    _strip_head.cache_clear()
+    asks = [(i, n) for i in range(len(pairs)) for n in range(1, 65)] * 2
+    random.Random(20).shuffle(asks)
+    asks += [(i, n) for n in (64, 63, 40, 40, 5, 4, 1, 6, 64, 10)
+             for i in range(len(pairs))]
+    for i, n in asks:
+        assert family_polynomial(*pairs[i], n) == cold[i, n], (i, n)
+
+
+def test_ascending_lengths_take_one_layer_step_each(q_h, q_w4, monkeypatch):
+    _strip_head.cache_clear()
+    family_polynomial(q_h, q_w4, 1)            # builds the head
+    steps = []
+
+    def counted(cs, _f=transfer._lowest_first):
+        steps.append(len(cs))
+        return _f(cs)
+    monkeypatch.setattr(transfer, "_lowest_first", counted)
+    for n in range(1, 65):
+        family_polynomial(q_h, q_w4, n)
+    assert len(steps) == 60
+    steps.clear()
+    family_polynomial(q_h, q_w4, 10)           # behind the cursor: the head
+    assert len(steps) == 6
+
+
 def test_family_value_large_n_positive_at_four(q_h, q_w4):
     assert family_value_at(q_h, q_w4, 513, Fraction(4)) > 0
 
@@ -402,7 +438,7 @@ def test_t_basis_modulus_and_valuations(fixture_vectors):
     assert CHAR_B2.taylor_shift(3) == IntPolynomial([0, 0, 0, -2, 0, 4, 2])
     offsets = {}
     for (a, qa), (b, qb) in product(fixture_vectors.items(), repeat=2):
-        window, terms = _strip_head(qa, qb)[3]
+        window, terms, _ = _strip_head(qa, qb)[3]
         assert terms == (((3, -2), (5, 4), (6, 2)), ((1, 3), (2, -6), (4, -1)))
         orders = {t_adic_valuation(family_polynomial(qa, qb, n)) - n
                   for n in range(2, MAX_ORACLE_N + 1)}
