@@ -54,7 +54,7 @@ from .graphs import FIXTURE_NAMES, FramedGraph, load_fixture, parse_graph_text
 #: bisection below the floats' reach is exact.  One exact sign at a 40-bit
 #: point near the root takes 0.03 s at strip 2049, 0.16 s at 8193 and
 #: 0.5 s at 16,385, about 3 times as long per doubling of n; ball
-#: arithmetic (ROADMAP item 3) would lower that.
+#: arithmetic (ROADMAP item 5) would lower that.
 MAX_POINTWISE_N = 4097
 MAX_DIGITS = 30
 MAX_BITS = 1024

@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: integer polynomials, falling factorials and
 their integer combinations, real quadratic extension fields, and the one
-power, quadratic-ring product and dot product that other modules use.
+power, quadratic-ring product, dot product and Horner's rule that other
+modules use.
 
 Everything here is exact.  Rationals are `fractions.Fraction`, integers are
 Python ints, and quadratic irrationals a + b*sqrt(d) carry their radicand
@@ -14,7 +15,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class InexactDivisionError(ArithmeticError):
@@ -57,6 +58,15 @@ def dot(*vectors):
     left to right with no 0 or 1 start value."""
     return reduce(operator.add, (reduce(operator.mul, entries)
                                  for entries in zip(*vectors)))
+
+
+def horner(cs: Sequence, x):
+    """sum_i cs[i] x^i (constant first) by Horner's rule, in whatever number
+    type cs and x have; exact for exact types, 0 for no coefficients."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
 # ----------------------------------------------------------------------------
@@ -168,24 +178,13 @@ class IntPolynomial:
 
     def __call__(self, x):
         """Horner evaluation; exact for int, Fraction and QuadExt arguments."""
-        acc = 0
-        for c in reversed(self._c):
-            acc = acc * x + c
-        return acc
+        return horner(self._c, x)
 
     def eval_fraction(self, x: Fraction) -> Fraction:
-        """Exact value at a rational point, via an integer Horner pass.
-
-        Avoids per-step Fraction normalisation: computes the integer
-        p(a/b) * b^deg first and divides once at the end.
-        """
-        if not self._c:
-            return Fraction(0)
-        a, b = x.numerator, x.denominator
-        if b == 1:
-            return Fraction(self(a))
-        d = len(self._c) - 1
-        return Fraction(self.scaled_value(a, b), b ** d)
+        """Exact value at a rational point a/b: the integer scaled_value
+        b^deg p(a/b), divided once at the end, not a Fraction per step."""
+        return Fraction(self.scaled_value(x.numerator, x.denominator),
+                        x.denominator ** max(self.degree, 0))
 
     def sign_at(self, x: Fraction) -> int:
         """Exact sign of the value at a rational point (-1, 0 or +1)."""

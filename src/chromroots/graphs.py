@@ -4,21 +4,19 @@ operations, a text file format, and the bundled end-graph fixtures.
 Vertices are 0..n-1.  Graphs are immutable: every surgery operation
 (edge addition, vertex identification, gluing) returns a new Graph.
 Adjacency is one bitmask per vertex; of the mask walkers here, _bits (set
-bits) serves Graph and the chromatic polynomial engine, and _components
+bits) serves Graph and the brute-force colouring oracle, and _components
 only Graph.is_connected.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
 
-@lru_cache(maxsize=1 << 14)
 def _bits(m: int) -> tuple:
-    """Indices of the set bits of `m`, lowest first (memoised, bounded)."""
+    """Indices of the set bits of `m`, lowest first."""
     out = []
     while m:
         low = m & -m

@@ -51,7 +51,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .exactnum import IntPolynomial
+from .exactnum import IntPolynomial, horner
 from .transfer import StripFamily
 
 BRACKET_MAX_K = 48
@@ -183,8 +183,11 @@ def bisect(bracket: RootBracket, evaluator: Callable[[Fraction], int],
     zero at a midpoint is returned as the bracket mid +- width/2 with both
     endpoint signs evaluated; when they are not opposite and nonzero (say,
     at a root of even multiplicity) it raises NoSignChangeError.  bisect
-    counts no exact signs: the result's exact_signs is 0.
+    counts no exact signs: the result's exact_signs is 0.  A width <= 0,
+    which no bisection reaches, raises ValueError before any sign is taken.
     """
+    if width <= 0:
+        raise ValueError(f"bisection width must be positive, not {width}")
     lo, hi = bracket.lo, bracket.hi
     sign_lo, sign_hi = bracket.sign_lo, bracket.sign_hi
     while hi - lo > width:
@@ -414,13 +417,6 @@ class ComplexRootSet:
         return sorted(re for re, im in self.roots if im == 0)
 
 
-def _horner(cs, t):
-    acc = cs[-1]
-    for c in reversed(cs[:-1]):
-        acc = acc * t + c
-    return acc
-
-
 class _Gauss:
     """The Gaussian fixed-point number (x + iy) / 2^f, with x and y Python
     ints: the number type of the multiprecision Aberth-Ehrlich stage.
@@ -524,11 +520,11 @@ def _aberth_iterate(coeffs: Sequence, z: Sequence, unit) -> Tuple[list, bool]:
         still = []
         for j in active:
             zj = z[j]
-            pj = _horner(coeffs, zj)
-            if abs(pj) <= _horner(absc, abs(zj)) * (d + 1) * unit:
+            pj = horner(coeffs, zj)
+            if abs(pj) <= horner(absc, abs(zj)) * (d + 1) * unit:
                 continue
             still.append(j)
-            dj = _horner(deriv, zj)
+            dj = horner(deriv, zj)
             if dj == 0:
                 z[j] = zj + (1 + 2j) / 1024
                 continue
@@ -661,6 +657,8 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
         raise ValueError("need degree >= 1")
     if p.degree > MAX_DEGREE:
         raise ValueError(f"desk-scale solver is capped at degree {MAX_DEGREE}")
+    if precision_bits <= 0:
+        raise ValueError("need precision_bits >= 1")
 
     rest, integer_roots = _deflate_small_integer_roots(p)
     collected = []
@@ -698,8 +696,8 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
                 for k, mult in integer_roots.items() for _ in range(mult)]
         for re, im in collected:
             z = mp.mpc(re, im)
-            value = abs(_horner(p.coefficients, z))
-            rows.append((re, im, value / _horner(absc, abs(z)) if value else value))
+            value = abs(horner(p.coefficients, z))
+            rows.append((re, im, value / horner(absc, abs(z)) if value else value))
         rows.sort(key=lambda t: t[:2])
     return ComplexRootSet(tuple(t[:2] for t in rows), tuple(t[2] for t in rows),
                           precision_bits)

@@ -25,12 +25,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import List
+from typing import List, Sequence
 
 from .chromatic import PartitionVector
 from .exactnum import IntPolynomial, QuadExt, dot, quad_mul, sqrt_rational
-from .transfer import (CHAR_B1, CHAR_B2, _at_four_minus_eps, build_MD,
-                       gluing_weight_values, gluing_weights)
+from .transfer import (B1_EPS, CHAR_B1, CHAR_B2, DT_EPS, _at_four_minus_eps,
+                       build_MD, cleared_weights, d_product, gluing_weights)
 
 #: Left end of the admissible evaluation interval: 181/50 = 3.62 exceeds
 #: 2 + golden ratio ~ 3.618, so (GUARD_LO, 4) sits inside the interval on
@@ -53,14 +53,15 @@ class GuardError(ValueError):
 def eigenvalues_at(x: Fraction) -> tuple:
     """(lambda1, lambda2, lambda3, lambda4) = (2, ., ., 0) at a rational x.
 
-    Allows the boundary x = 4, where lambda2 = lambda3 = 2 and the
-    extension degenerates to the rationals.
+    The discriminant is eps^2 transfer.DT_EPS(eps), eps = 4 - x.  Allows
+    the boundary x = 4, where lambda2 = lambda3 = 2 and the extension
+    degenerates to the rationals.
     """
     x = Fraction(x)
     if not (GUARD_LO <= x <= 4):
         raise GuardError(f"x = {x} outside [{GUARD_LO}, 4]")
-    b1, b2 = CHAR_B1.eval_fraction(x), CHAR_B2.eval_fraction(x)
-    disc = b1 * b1 - 4 * b2
+    b1, eps = CHAR_B1.eval_fraction(x), 4 - x
+    disc = eps * eps * DT_EPS.eval_fraction(eps)
     if disc < 0:
         raise ArithmeticError("complex quadratic eigenvalues inside the guard")
     root = sqrt_rational(disc)
@@ -92,9 +93,6 @@ class EigenSystem:
     def eigenpairs(self) -> tuple:
         return ((self.lambda1, self.v1), (self.lambda2, self.v2),
                 (self.lambda3, self.v3), (self.lambda4, self.v4))
-
-    def weights(self) -> tuple:
-        return gluing_weight_values(self.x)
 
 
 def _kernel_vector(rows: List[list], d: int) -> list:
@@ -166,22 +164,19 @@ def eigen_residual(es: EigenSystem, which: int) -> tuple:
     return tuple(dot(v, row) - lam * vi for row, vi in zip(md, v))
 
 
+def _d_product_at(x: Fraction, u: Sequence, v: Sequence) -> QuadExt:
+    """u^T D(x) v at a rational x for vectors of rationals or QuadExts, as
+    a QuadExt (a rational result gets the placeholder radicand 5)."""
+    out = dot(u, [1 / w.eval_fraction(x) for w in gluing_weights()], v)
+    return out if isinstance(out, QuadExt) else QuadExt(out, 0, 5)
+
+
 def orthogonality_check(es: EigenSystem) -> bool:
     """All sixteen inner products v_i^T D v_j: exactly zero off the diagonal
     and strictly positive on it."""
-    w = es.weights()
-    vecs = [es.v1, es.v2, es.v3, es.v4]
-    winv = tuple(1 / wi for wi in w)
-    for i in range(4):
-        for j in range(4):
-            prod = dot(vecs[i], winv, vecs[j])
-            s = prod.sign() if isinstance(prod, QuadExt) else \
-                ((prod > 0) - (prod < 0))
-            if i == j and s <= 0:
-                return False
-            if i != j and s != 0:
-                return False
-    return True
+    vecs = (es.v1, es.v2, es.v3, es.v4)
+    return all(_d_product_at(es.x, u, v).sign() == (i == j)
+               for i, u in enumerate(vecs) for j, v in enumerate(vecs))
 
 
 @dataclass(frozen=True)
@@ -205,21 +200,11 @@ class Decomposition:
 def decompose(q: PartitionVector, es: EigenSystem) -> Decomposition:
     """Exact coefficients alpha_i = (Q^T D v_i) / (v_i^T D v_i)."""
     values = q.eval_fraction(es.x)
-    w = es.weights()
-    winv = tuple(1 / wi for wi in w)
-    vecs = [es.v1, es.v2, es.v3, es.v4]
-    alphas = []
-    norms = []
-    for v in vecs:
-        num = dot(values, winv, v)
-        den = dot(v, winv, v)
-        if not isinstance(num, QuadExt):
-            num = QuadExt(num, 0, es.d if es.d > 1 else 5)
-        if not isinstance(den, QuadExt):
-            den = QuadExt(den, 0, es.d if es.d > 1 else 5)
-        alphas.append(num / den)
-        norms.append(den)
-    return Decomposition(tuple(alphas), tuple(norms), values, es)
+    vecs = (es.v1, es.v2, es.v3, es.v4)
+    norms = tuple(_d_product_at(es.x, v, v) for v in vecs)
+    alphas = tuple(_d_product_at(es.x, values, v) / norm
+                   for v, norm in zip(vecs, norms))
+    return Decomposition(alphas, norms, values, es)
 
 
 # ----------------------------------------------------------------------------
@@ -227,13 +212,10 @@ def decompose(q: PartitionVector, es: EigenSystem) -> Decomposition:
 # ----------------------------------------------------------------------------
 
 def planar_face_identity(q: PartitionVector) -> bool:
-    """Symbolic check of P1/ff2 + P4/ff4 = (P2 + P3)/ff3, cleared of
-    denominators.  Holds whenever the framed graph is planar with the frame
-    bounding a face."""
-    ff2, ff3, _, ff4 = gluing_weights()
-    lhs = ff3 * ff4 * q.p1 + ff2 * ff3 * q.p4
-    rhs = ff2 * ff4 * (q.p2 + q.p3)
-    return lhs == rhs
+    """Symbolic check of P1/ff2 + P4/ff4 = (P2 + P3)/ff3, that is
+    Q^T D v1 = 0 (transfer.d_product).  Holds whenever the framed graph is
+    planar with the frame bounding a face."""
+    return not d_product(q, V1)
 
 
 def classifier_constant(q: PartitionVector) -> Fraction:
@@ -244,12 +226,7 @@ def classifier_constant(q: PartitionVector) -> Fraction:
 def second_projection_at(q: PartitionVector, x: Fraction) -> QuadExt:
     """Q(x)^T D(x) v2(x), exact in the quadratic extension at x."""
     es = eigensystem_at(x)
-    values = q.eval_fraction(x)
-    winv = tuple(1 / wi for wi in es.weights())
-    out = dot(values, winv, es.v2)
-    if not isinstance(out, QuadExt):
-        out = QuadExt(out, 0, 5)
-    return out
+    return _d_product_at(x, q.eval_fraction(x), es.v2)
 
 
 # ----------------------------------------------------------------------------
@@ -308,26 +285,24 @@ def _projection_multipliers() -> tuple:
     det = _lam_cross(a00, a11, a01, a10)
     num_a = _lam_cross(r0, a11, a01, r1)
     num_b = _lam_cross(a00, r1, r0, a10)
-    ff2, ff3, _, ff4 = gluing_weights()
+    (c1, c2, _, c4), denominator = cleared_weights()
     return tuple(_lam_mul(e, (g, zero)) for e, g in (
-        (num_a, ff3 * ff4), (num_b, ff2 * ff4), (det, -(ff2 * ff3)),
-        (det, ff2 * ff3 * ff4)))
+        (num_a, c1), (num_b, c2), (det, -c4), (det, denominator)))
 
 
 def _lambda2_series(n: int) -> list:
     """First n coefficients of lambda2(4 - eps) = (-b1 + eps h) / 2, where
-    h^2 = (b1^2 - 4 b2) / eps^2 = 9 - 32 eps + ... and h(0) = +3."""
-    disc = _at_four_minus_eps(CHAR_B1 * CHAR_B1 - CHAR_B2 * 4, n + 1)
-    root = math.isqrt(disc[2])
-    if disc[0] or disc[1] or root * root != disc[2]:
-        raise ArithmeticError("discriminant is not eps^2 times a square unit")
-    g = disc[2:]
+    h^2 = transfer.DT_EPS = 9 - 32 eps + ... and h(0) = +3."""
+    g = DT_EPS.coefficient
+    root = math.isqrt(g(0))
+    if root * root != g(0):
+        raise ArithmeticError("DT_EPS(0) is not a square")
     h = [Fraction(root)]
     for k in range(1, n - 1):
-        h.append(Fraction(g[k] - sum(h[i] * h[k - i] for i in range(1, k)),
+        h.append(Fraction(g(k) - sum(h[i] * h[k - i] for i in range(1, k)),
                           2 * root))
-    b1 = _at_four_minus_eps(CHAR_B1, n)
-    return [(-b1[k] + (h[k - 1] if k else 0)) / Fraction(2) for k in range(n)]
+    return [(-B1_EPS.coefficient(k) + (h[k - 1] if k else 0)) / Fraction(2)
+            for k in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -429,6 +404,5 @@ def predict_roots_to_four(qa: PartitionVector, qb: PartitionVector) -> bool:
 def limit_projection_check(q: PartitionVector) -> bool:
     """Q(4)^T D(4) v2(4) equals the fast-path constant (5/24) P1(4), with
     v2(4) the limit vector (3/2, 1, 1, -1)."""
-    values = q.eval_fraction(Fraction(4))
-    winv = tuple(1 / wi for wi in gluing_weight_values(Fraction(4)))
-    return dot(values, winv, V2_AT_FOUR) == classifier_constant(q)
+    return (_d_product_at(Fraction(4), q.eval_fraction(Fraction(4)), V2_AT_FOUR)
+            == classifier_constant(q))

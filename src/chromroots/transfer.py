@@ -1,9 +1,11 @@
 """The width-4 cylindrical transfer matrix: the layer-count matrix M, the
-diagonal gluing weight D, the transfer matrix MD, gluing of partitioned
-chromatic polynomials, strip-family polynomials and their pointwise exact
-evaluation, a check of M against the brute-force colouring oracle (the
-colour-class partitions of one layer, summed in the falling-factorial
-basis), and the golden-ratio identity check for planar triangulations.
+diagonal gluing weight D and the D-product u^T D v of polynomial vectors,
+the transfer matrix MD, the constants of its quadratic factor at 4 - eps,
+gluing of partitioned chromatic polynomials, strip-family polynomials and
+their pointwise exact evaluation, a check of M against the brute-force
+colouring oracle (the colour-class partitions of one layer, summed in the
+falling-factorial basis), and the golden-ratio identity check for planar
+triangulations.
 
 Strip families are computed from the recurrence that the characteristic
 polynomial det(tI - MD) = t (t - 2) (t^2 + CHAR_B1 t + CHAR_B2) gives by
@@ -47,6 +49,23 @@ TYPE_COLOUR_COUNTS = tuple(t.frame_colours for t in ColouringType)
 #: factor, whose roots are the eigenvalues lambda2 and lambda3 of MD(x).
 CHAR_B1 = IntPolynomial((-144, 147, -60, 12, -1))
 CHAR_B2 = IntPolynomial((540, -1350, 1368, -722, 210, -32, 2))
+
+
+def _at_four_minus_eps(p: IntPolynomial, n: int | None = None) -> list:
+    """Coefficients of p(4 - eps) in eps, constant term first: all of them,
+    or the first n (padded with zeros)."""
+    cs = [-c if i & 1 else c
+          for i, c in enumerate(p.taylor_shift(4).coefficients)]
+    return cs if n is None else (cs + [0] * n)[:n]
+
+
+#: CHAR_B1 and CHAR_B2 at x = 4 - eps as polynomials in eps, and the
+#: discriminant of the quadratic factor over eps^2,
+#: DT_EPS = (B1_EPS^2 - 4 B2_EPS) / eps^2 = 9 - 32 eps + ... (exact division).
+B1_EPS, B2_EPS = (IntPolynomial(_at_four_minus_eps(p))
+                  for p in (CHAR_B1, CHAR_B2))
+DT_EPS = (B1_EPS * B1_EPS - 4 * B2_EPS).divide_exact(IntPolynomial.monomial(2))
+
 
 @dataclass(frozen=True)
 class TransferMatrix:
@@ -100,9 +119,23 @@ def gluing_weights() -> tuple:
     return tuple(falling_factorial(s) for s in TYPE_COLOUR_COUNTS)
 
 
-def gluing_weight_values(x: Fraction) -> tuple:
-    """Diagonal of D at a rational x: the values of (ff2, ff3, ff3, ff4)."""
-    return tuple(w.eval_fraction(x) for w in gluing_weights())
+@lru_cache(maxsize=1)
+def cleared_weights() -> tuple:
+    """(D ff2 ff3 ff4, ff2 ff3 ff4): the diagonal of D cleared of its common
+    denominator, (ff3 ff4, ff2 ff4, ff2 ff4, ff2 ff3), and that denominator."""
+    ff2, ff3, _, ff4 = gluing_weights()
+    return (ff3 * ff4, ff2 * ff4, ff2 * ff4, ff2 * ff3), ff2 * ff3 * ff4
+
+
+def d_product(u: Sequence, v: Sequence) -> IntPolynomial:
+    """ff2 ff3 ff4 u^T D v for vectors of four integer polynomials (v's may
+    be integers): the D-product cleared of its denominator.  The two equal
+    weights take one product, and v[0] and v[3] multiply the small cleared
+    weights before u, so that integers there (as in v1) scale a weight,
+    not u."""
+    c1, c2, _, c4 = cleared_weights()[0]
+    return (u[0] * (v[0] * c1) + (u[1] * v[1] + u[2] * v[2]) * c2
+            + u[3] * (v[3] * c4))
 
 
 @lru_cache(maxsize=None)
@@ -128,17 +161,11 @@ def build_MD() -> TransferMatrix:
 
 def glue(qa: PartitionVector, qb: PartitionVector) -> IntPolynomial:
     """Chromatic polynomial of the graph glued from two framed graphs,
-    as the scalar Q(A)^T D Q(B).
-
-    The sum is brought over the common denominator ff2*ff3*ff4 and the final
-    division is required to be exact; InexactDivisionError signals invalid
-    partition vectors.
+    as the scalar Q(A)^T D Q(B): d_product over its denominator, a division
+    required to be exact; InexactDivisionError signals invalid partition
+    vectors.
     """
-    ff2, ff3, _, ff4 = gluing_weights()
-    numerator = (qa.p1 * qb.p1 * (ff3 * ff4)
-                 + (qa.p2 * qb.p2 + qa.p3 * qb.p3) * (ff2 * ff4)
-                 + qa.p4 * qb.p4 * (ff2 * ff3))
-    return numerator.divide_exact(ff2 * ff3 * ff4)
+    return d_product(qa, qb).divide_exact(cleared_weights()[1])
 
 
 def extend_one_layer(q: PartitionVector) -> PartitionVector:
@@ -340,15 +367,7 @@ class StripFamily:
 # The closed form near 4, in floats
 # ----------------------------------------------------------------------------
 
-def _at_four_minus_eps(p: IntPolynomial, n: int | None = None) -> list:
-    """Coefficients of p(4 - eps) in eps, constant term first: all of them,
-    or the first n (padded with zeros)."""
-    cs = [-c if i & 1 else c
-          for i, c in enumerate(p.taylor_shift(4).coefficients)]
-    return cs if n is None else (cs + [0] * n)[:n]
-
-
-def _horner(cs: tuple, eps: float) -> tuple:
+def _value_and_size(cs: tuple, eps: float) -> tuple:
     """(p(eps), sum_i |c_i| eps^i) in floats for coefficients cs, constant
     first; the rounding error of the first is at most 2 (deg p + 1) 2^-53
     times the second."""
@@ -363,9 +382,9 @@ class ClosedForm:
     """The sign of the strip family at x = 4 - eps, 0 < eps <= 1/2, in
     Python floats, from its eigenvalues instead of from powers.
 
-    With eps = 4 - x, CHAR_B1 = -4 + eps beta(eps) and the discriminant of
-    the quadratic factor CHAR_B1^2 - 4 CHAR_B2 = eps^2 Dt(eps), where
-    Dt = 9 - 32 eps + 56 eps^2 - ..., its roots are
+    With eps = 4 - x, CHAR_B1 = B1_EPS = -4 + eps beta(eps) and the
+    discriminant of the quadratic factor is eps^2 Dt(eps), Dt = DT_EPS =
+    9 - 32 eps + 56 eps^2 - ..., so its roots are
     mu+- = 2 + eps (+-sqrt(Dt) - beta) / 2, and mu+ - mu- = eps sqrt(Dt)
     has no cancellation.  On 0 < eps <= 1/2, Dt > 0 and mu+ > 0, so both
     roots are real; mu- < 0 from about eps = 0.39.
@@ -389,16 +408,14 @@ class ClosedForm:
     """
 
     def __init__(self, xs: tuple, residual: IntPolynomial):
-        b1, b2, x1, x2, x3, r = (IntPolynomial(_at_four_minus_eps(p)) for p in
-                                 (CHAR_B1, CHAR_B2, *xs[:3], residual))
+        x1, x2, x3, r = (IntPolynomial(_at_four_minus_eps(p))
+                         for p in (*xs[:3], residual))
         self.cubic = bool(residual)
         if self.cubic:
-            c = IntPolynomial.constant(4) + 2 * b1 + b2
+            c = IntPolynomial.constant(4) + 2 * B1_EPS + B2_EPS
             x2, x3 = x2 * c - r, x3 * c - 2 * r
-        discriminant = b1 * b1 - 4 * b2
-        polys = (x1, x2, 2 * x3 + b1 * x2, r,
-                 IntPolynomial(discriminant.coefficients[2:]),
-                 IntPolynomial(b1.coefficients[1:]))
+        polys = (x1, x2, 2 * x3 + B1_EPS * x2, r, DT_EPS,
+                 IntPolynomial(B1_EPS.coefficients[1:]))
         try:
             self._polys = tuple(tuple(map(float, p.coefficients))
                                 for p in polys)
@@ -428,11 +445,12 @@ class ClosedForm:
         """(v, size) at 4 - eps, 0 < eps <= 1/2 (see sign)."""
         x1, x2, g, r, dt, beta = self._polys
         if n == 1:
-            return _horner(x1, eps)
+            return _value_and_size(x1, eps)
         (x2, size2), (g, size_g), (r, size_r) = (
-            _horner(x2, eps), _horner(g, eps), _horner(r, eps))
-        root = eps * math.sqrt(_horner(dt, eps)[0])   # mu+ - mu-
-        shift = eps * _horner(beta, eps)[0]           # CHAR_B1 + 4
+            _value_and_size(x2, eps), _value_and_size(g, eps),
+            _value_and_size(r, eps))
+        root = eps * math.sqrt(_value_and_size(dt, eps)[0])   # mu+ - mu-
+        shift = eps * _value_and_size(beta, eps)[0]           # CHAR_B1 + 4
         m = n - 2
         mu_plus = 2 + (root - shift) / 2
         mu_minus = 2 - (root + shift) / 2

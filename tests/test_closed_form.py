@@ -19,8 +19,8 @@ from chromroots.roots import (BRACKET_MAX_K, SIGN_SAFETY, NoSignChangeError,
                               bracket_near_four, largest_root_near_four,
                               sturm_count)
 from chromroots.tables import BY_N_ROWS, DOUBLING_ROWS
-from chromroots.transfer import (CHAR_B1, CHAR_B2, ClosedForm, StripFamily,
-                                 _at_four_minus_eps)
+from chromroots.transfer import (B1_EPS, B2_EPS, CHAR_B1, CHAR_B2, DT_EPS,
+                                 ClosedForm, StripFamily)
 
 from test_transfer import NON_PLANAR, framed_vectors
 
@@ -214,15 +214,20 @@ def test_float_signs_agree_with_exact_signs(family_hw4):
 
 
 def test_closed_form_has_real_eigenvalues_on_its_interval():
-    """On 0 < eps <= 1/2 (x in [7/2, 4)): CHAR_B1 < 0, so mu+ > 0; the
-    discriminant over eps^2 and 4 + 2 CHAR_B1 + CHAR_B2 over eps^2 have no
-    root, so both are positive as they are at eps = 0."""
-    b1, b2 = (IntPolynomial(_at_four_minus_eps(p)) for p in (CHAR_B1, CHAR_B2))
-    reduced = (IntPolynomial((b1 * b1 - 4 * b2).coefficients[2:]),
-               IntPolynomial((IntPolynomial.constant(4) + 2 * b1
-                              + b2).coefficients[2:]))
-    assert b1(0) < 0 and sturm_count(b1, Fraction(0), Fraction(1, 2)) == 0
-    for p in reduced:
+    """On 0 < eps <= 1/2 (x in [7/2, 4)): B1_EPS < 0, so mu+ > 0; DT_EPS,
+    the discriminant over eps^2, and 4 + 2 B1_EPS + B2_EPS over eps^2 have
+    no root, so both are positive as they are at eps = 0.  The constants
+    that ClosedForm and the classifier read are CHAR_B1 and CHAR_B2 at
+    4 - eps and their discriminant over eps^2."""
+    eps_sq = IntPolynomial.monomial(2)
+    for p, p_eps in ((CHAR_B1, B1_EPS), (CHAR_B2, B2_EPS)):
+        # More points than the degree + 1 pin the polynomial.
+        assert all(p_eps(4 - x) == p(x) for x in range(-3, 8))
+    assert DT_EPS * eps_sq == B1_EPS * B1_EPS - 4 * B2_EPS
+    assert DT_EPS.coefficients[:2] == (9, -32)
+    cubic = (IntPolynomial.constant(4) + 2 * B1_EPS + B2_EPS).divide_exact(eps_sq)
+    assert B1_EPS(0) < 0 and sturm_count(B1_EPS, Fraction(0), Fraction(1, 2)) == 0
+    for p in (DT_EPS, cubic):
         assert p(0) > 0 and sturm_count(p, Fraction(0), Fraction(1, 2)) == 0
 
 

@@ -31,6 +31,19 @@ def test_bracket_validation():
     assert br.width == 1 and br.midpoint == Fraction(3, 2)
 
 
+def test_bisect_rejects_a_width_no_bisection_reaches(q_h, q_w4):
+    """width <= 0 raises before any sign is taken, and through
+    largest_root_near_four, instead of halving forever."""
+    br = RootBracket(Fraction(1), Fraction(2), -1, 1)
+    asked = []
+    for width in (Fraction(0), Fraction(-1, 10)):
+        with pytest.raises(ValueError):
+            bisect(br, lambda x: asked.append(x) or 1, width)
+    assert asked == []
+    with pytest.raises(ValueError):
+        largest_root_near_four(StripFamily(q_h, q_w4), 10, width=Fraction(0))
+
+
 def test_bisect_sqrt2_control():
     p = IntPolynomial([-2, 0, 1])
     br = RootBracket(Fraction(1), Fraction(2), -1, 1)
@@ -385,3 +398,6 @@ def test_complex_roots_rejects_bad_degrees():
         complex_roots(IntPolynomial([3]))
     with pytest.raises(ValueError):
         complex_roots(IntPolynomial.monomial(MAX_DEGREE + 1))
+    for bits in (0, -5):
+        with pytest.raises(ValueError):
+            complex_roots(IntPolynomial([-2, 0, 1]), bits)

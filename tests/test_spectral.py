@@ -18,6 +18,8 @@ from chromroots.spectral import (GUARD_LO, GuardError, classifier_constant,
                                  planar_face_identity, predict_roots_to_four,
                                  second_projection_at)
 
+from test_transfer import NON_PLANAR
+
 
 def _is_zero(v) -> bool:
     return v.is_zero() if isinstance(v, QuadExt) else v == 0
@@ -118,13 +120,14 @@ def test_planar_face_identity_fixtures(q_h, q_w4, q_l, q_neg10):
 def test_planar_face_identity_nonplanar_counterexample():
     # Complete graph minus one edge, framed on a 4-cycle through the missing
     # edge's endpoints: planar embedding caveat does not apply, identity fails.
+    # NON_PLANAR = (ff2, 0, 0, 0) has Q^T D v1 = 1, not 0.
     k5_minus = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)
                          if (u, v) != (0, 2)])
     fg = FramedGraph(k5_minus, (0, 1, 2, 3))
-    q = partitioned_chromatic(fg)
-    assert not planar_face_identity(q)
-    with pytest.raises(ValueError):
-        classify_end_graph(q)
+    for q in (partitioned_chromatic(fg), NON_PLANAR):
+        assert not planar_face_identity(q)
+        with pytest.raises(ValueError):
+            classify_end_graph(q)
 
 
 def test_limit_projection_fixtures(q_h, q_w4, q_l, q_neg10):
