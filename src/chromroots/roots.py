@@ -1,6 +1,7 @@
 """Real-root isolation near 4 (a probe scan and bisection guided by float
-signs and certified by exact ones, Sturm certification) and a desk-scale
-multiprecision complex-root finder.
+signs and certified by exact ones), root counts on an interval (Descartes'
+rule, else a Sturm chain) and a desk-scale multiprecision complex-root
+finder.
 
 The root of an n-layer strip closest to 4 is found by two searches: a scan
 of the probes x = 4 - 2^-k (k = 48..1) for the negative one nearest 4, and
@@ -19,10 +20,14 @@ is enough.  An H,W4 table row takes 5 exact signs; all-exact took 76-84.
 
 Sturm counts divide out the integer roots 0, 1, 2, ... first (a chromatic
 polynomial vanishes exactly at 0..chi-1, an n-layer strip at 3 with
-multiplicity n) and count them directly, then build one Sturm chain of the
-rest; that chain's last member is the gcd with the derivative, so the
-squarefree part costs a second chain only when the rest has a repeated
-factor.
+multiplicity n) and count them directly.  The rest is counted next by
+Descartes' rule of signs on the interval mapped onto (0, inf) with two
+Taylor shifts (Collins-Akritas 1976; Rouillier-Zimmermann 2004), which
+decides whenever it finds 0 or 1 sign variations and the rest has no root
+at an end: it does on every bracket near 4 of the strip tables, with no
+subdivision.  Otherwise one Sturm chain of the rest is built; that chain's
+last member is the gcd with the derivative, so the squarefree part costs a
+second chain only when the rest has a repeated factor.
 
 The complex-root finder divides out the same integer roots, emits them
 exactly, and runs Aberth-Ehrlich simultaneous iteration on each squarefree
@@ -364,16 +369,51 @@ def _deflate_small_integer_roots(p: IntPolynomial) -> Tuple[IntPolynomial, Dict[
     return IntPolynomial(cs), ks
 
 
+def _descartes_count(r: IntPolynomial, lo: Fraction,
+                     hi: Fraction) -> int | None:
+    """The number of roots of r in (lo, hi] when Descartes' rule of signs
+    decides it (0 or 1), else None.
+
+    x = (hi + lo y) / (1 + y) maps y in (0, inf) onto (lo, hi).  The sign
+    variations V of (1 + y)^d r(x), times a positive constant, bound the
+    roots of r in (lo, hi) counted with multiplicity and have their parity
+    (Collins-Akritas 1976), so V = 0 is no root and V = 1 exactly one,
+    simple.  With lo = a / q, scaling by q and a Taylor shift by a put lo
+    at 0, a scaling by the width puts hi at 1, and reversal and a shift by
+    1 map (0, 1) onto (0, inf).  A root at an end (r(lo) = 0 or r(hi) = 0)
+    gives None, as does V >= 2.
+    """
+    d, q = r.degree, lo.denominator
+    s = IntPolynomial(c * q ** (d - i) for i, c in enumerate(r.coefficients))
+    s = s.taylor_shift(lo.numerator)
+    if not s.coefficient(0):                    # q^d r(lo)
+        return None
+    w = (hi - lo) * q
+    v = IntPolynomial(reversed([c * w.numerator ** i * w.denominator ** (d - i)
+                                for i, c in enumerate(s.coefficients)]))
+    v = v.taylor_shift(1)
+    if not v.coefficient(0):                    # a positive multiple of r(hi)
+        return None
+    signs = [c > 0 for c in v.coefficients if c]
+    variations = sum(a != b for a, b in zip(signs, signs[1:]))
+    return variations if variations <= 1 else None
+
+
 def sturm_count(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in (lo, hi].
 
-    Multiple roots count once.  The integer roots 0, 1, 2, ... that p has
-    (every root 0..chi-1 of a chromatic polynomial, with all its
-    multiplicity; (x-3)^n in an n-layer strip) are divided out first and
-    counted directly.  One Sturm chain of the rest r follows; its last
-    member is gcd(r, r'), and only when that is not a constant is the chain
-    rebuilt on r / gcd(r, r'), the squarefree part.
+    Multiple roots count once.  The zero polynomial, zero everywhere, raises
+    ValueError.  The integer roots 0, 1, 2, ... that p has (every root
+    0..chi-1 of a chromatic polynomial, with all its multiplicity; (x-3)^n
+    in an n-layer strip) are divided out first and counted directly.  The
+    rest r is then counted by Descartes' rule on the interval
+    (_descartes_count) when it has no root at an end and that rule says 0
+    or 1.  Otherwise one Sturm chain of r follows; its last member is
+    gcd(r, r'), and only when that is not a constant is the chain rebuilt
+    on r / gcd(r, r'), the squarefree part.
     """
+    if not p:
+        raise ValueError("the zero polynomial has a root everywhere")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -383,6 +423,9 @@ def sturm_count(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     count = sum(1 for k in ks if lo < k <= hi)
     if r.degree <= 0:
         return count
+    certified = _descartes_count(r, lo, hi)
+    if certified is not None:
+        return count + certified
     seq = sturm_sequence(r)
     if seq[-1].degree > 0:
         seq = sturm_sequence(seq[0].divide_exact(seq[-1]))

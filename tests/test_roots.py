@@ -94,6 +94,15 @@ def test_sturm_counts():
                        Fraction(-2), Fraction(4)) == 0
     assert sturm_count(IntPolynomial([-2, 1, 3, -4, 2]),
                        Fraction(-5), Fraction(5)) == 2
+    # Roots that deflation keeps, at an end of the interval: (lo, hi]
+    # counts the one at hi and not the one at lo.
+    for root in (IntPolynomial([1, 1]), IntPolynomial([-5, 1])):
+        k = Fraction(-root.coefficient(0))
+        assert sturm_count(root, k - 1, k) == 1
+        assert sturm_count(root, k, k + 1) == 0
+    # Every point is a root of the zero polynomial: no count is right.
+    with pytest.raises(ValueError, match="zero polynomial"):
+        sturm_count(IntPolynomial.zero(), Fraction(0), Fraction(1))
 
 
 def test_sturm_randomised_linear_factors():
@@ -144,10 +153,14 @@ def factored_polynomials(draw):
 @given(factored_polynomials(), st.data())
 def test_sturm_count_matches_squarefree_oracle(case, data):
     """Endpoints are drawn from the integer roots (simple or multiple) and
-    a few thirds."""
+    from rationals with denominators 3, 4, 5, 7, 9 and 16, negative ones
+    among them, so Descartes' rule meets roots at its ends and inside."""
     p, integer_roots = case
     points = [Fraction(k) for k in integer_roots]
     points += [Fraction(k, 3) for k in range(-20, 28, 5)]
+    points += [Fraction(k, 7) for k in (-31, -9, 2, 17, 40)]
+    points += [Fraction(-3, 4), Fraction(-11, 5), Fraction(13, 9),
+               Fraction(63, 16)]
     lo = data.draw(st.sampled_from(points))
     hi = data.draw(st.sampled_from([x for x in points if x > lo] or [lo + 1]))
     assert sturm_count(p, lo, hi) == oracle_sturm_count(oracle_sturm_chain(p), lo, hi)
@@ -179,21 +192,47 @@ def test_sturm_count_matches_oracle_on_table_rows(family_hw4):
             assert sturm_count(p, a, b) == oracle_sturm_count(chain, a, b), (n, a, b)
 
 
-def test_sturm_count_deflates_before_its_one_chain(family_hw4, monkeypatch):
-    """H,W4 at n=30 is x(x-1)(x-2)(x-3)^30 r with r squarefree of degree
-    100: no gcd and one chain on r, not a gcd and a chain on the degree-104
-    squarefree part."""
-    p = family_hw4.polynomial(30)
-    assert p.degree == 133
+def spy_on_chains(monkeypatch):
+    """(gcd_calls, chains): lists that fill as roots builds them."""
     gcd_calls, chains = [], []
     real_gcd, real_sequence = roots.poly_gcd, roots.sturm_sequence
     monkeypatch.setattr(roots, "poly_gcd",
                         lambda *a: gcd_calls.append(a) or real_gcd(*a))
     monkeypatch.setattr(roots, "sturm_sequence",
                         lambda q: chains.append(real_sequence(q)) or chains[-1])
+    return gcd_calls, chains
+
+
+def test_sturm_count_deflates_before_its_one_chain(family_hw4, monkeypatch):
+    """H,W4 at n=30 is x(x-1)(x-2)(x-3)^30 r with r squarefree of degree
+    100: on (0, 4] no gcd and one chain on r, not a gcd and a chain on the
+    degree-104 squarefree part.  On (bracket lo, 4] of the rows n <= 30
+    Descartes' rule decides and no chain is built."""
+    gcd_calls, chains = spy_on_chains(monkeypatch)
+    for n in (m for m in BY_N_ROWS if m <= 30):
+        lo = bracket_near_four(family_hw4, n).lo
+        assert sturm_count(family_hw4.polynomial(n), lo, Fraction(4)) == 1, n
+    assert gcd_calls == [] and chains == []
+    p = family_hw4.polynomial(30)
+    assert p.degree == 133
     assert sturm_count(p, Fraction(0), Fraction(4)) == 9
     assert gcd_calls == []
     assert [chain[0].degree for chain in chains] == [100]
+
+
+def test_largest_root_below_four_is_certified_on_every_table_row(
+        family_hw4, monkeypatch):
+    """On every table-2 row of H,W4 (n <= 100) the isolated root is the
+    largest below 4: no root in (midpoint + 10^-11, 4] and exactly one in
+    the bracket, both decided by Descartes' rule with no chain."""
+    gcd_calls, chains = spy_on_chains(monkeypatch)
+    for n in BY_N_ROWS:
+        res = largest_root_near_four(family_hw4, n)
+        p = family_hw4.polynomial(n)
+        above = res.midpoint + Fraction(1, 10 ** 11)
+        assert sturm_count(p, above, Fraction(4)) == 0, n
+        assert sturm_count(p, res.bracket.lo, res.bracket.hi) == 1, n
+    assert gcd_calls == [] and chains == []
 
 
 def test_poly_gcd_and_squarefree():
