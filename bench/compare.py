@@ -47,7 +47,9 @@ COLD_COMMANDS = {"reproduce_tables_s": ["reproduce-tables"],
                  "croots_s": ["croots", "--endA", "H", "--endB", "W4",
                               "--n", "10"],
                  "verify_golden_s": ["verify-golden", "--endA", "H",
-                                     "--endB", "W4", "--max-n", "128"]}
+                                     "--endB", "W4", "--max-n", "128"],
+                 "family_512_s": ["family", "--endA", "H", "--endB", "W4",
+                                  "--n", "512"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int,

@@ -59,8 +59,8 @@ MAX_POINTWISE_N = 4097
 MAX_DIGITS = 30
 MAX_BITS = 1024
 #: Cap on family --n.  The W4,W4 strip at n = 512 (degree 2050) takes
-#: 1.2-1.3 s, 32 MB and 2 MB of JSON on a 2-core x86-64 machine; n = 1024
-#: takes 6.2 s and 27 MB in the library (each doubling of n costs about 5
+#: 1.7 s, 29 MB and 2 MB of JSON on a 2-core x86-64 machine; n = 1024
+#: takes 11.3 s and 31 MB in the library (each doubling of n costs about 8
 #: times the time).
 MAX_SYMBOLIC_N = 512
 #: Cap on verify-golden --n and --max-n.

@@ -335,9 +335,22 @@ def sturm_sequence(p: IntPolynomial) -> List[IntPolynomial]:
                                p.derivative().primitive_part())
 
 
+def _variations(values) -> int:
+    """Sign changes in a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
 def _sign_variations(seq: Sequence[IntPolynomial], at: Fraction) -> int:
-    signs = [s for s in (q.sign_at(at) for q in seq) if s != 0]
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+    return _variations(q.sign_at(at) for q in seq)
+
+
+def _real_root_count(p: IntPolynomial) -> int:
+    """Number of distinct real roots of p, degree >= 1: the sign
+    variations of its Sturm chain at -inf less those at +inf."""
+    lcs = [(q.leading_coefficient(), q.degree % 2) for q in sturm_sequence(p)]
+    return (_variations(-c if odd else c for c, odd in lcs)
+            - _variations(c for c, _ in lcs))
 
 
 def _deflate_small_integer_roots(p: IntPolynomial) -> Tuple[IntPolynomial, Dict[int, int]]:
@@ -394,8 +407,7 @@ def _descartes_count(r: IntPolynomial, lo: Fraction,
     v = v.taylor_shift(1)
     if not v.coefficient(0):                    # a positive multiple of r(hi)
         return None
-    signs = [c > 0 for c in v.coefficients if c]
-    variations = sum(a != b for a, b in zip(signs, signs[1:]))
+    variations = _variations(v.coefficients)
     return variations if variations <= 1 else None
 
 
@@ -686,9 +698,9 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
     precision plus 32 plus _guard_bits.  In both, a root that has reached
     the round-off floor is settled and not evaluated again.  The settled
     iterates are converted exactly to mpmath numbers.  The number of real
-    roots of each factor is Sturm's exact count on (-B, B], B a Cauchy
-    bound: that many roots nearest the real axis are made real and the rest
-    are emitted in conjugate pairs.  One retry of the fixed-point stage at
+    roots of each factor is Sturm's exact count (_real_root_count): that
+    many roots nearest the real axis are made real and the rest are
+    emitted in conjugate pairs.  One retry of the fixed-point stage at
     doubled precision when it does not settle or its non-real roots do not
     split evenly between the half-planes.  Residuals are evaluated in
     mpmath against the original coefficients at doubled precision,
@@ -707,8 +719,7 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
     collected = []
     for factor, mult in squarefree_factors(rest):
         cs = factor.coefficients
-        bound = Fraction(2 + max(map(abs, cs[:-1])) // abs(cs[-1]))
-        real_count = sturm_count(factor, -bound, bound)
+        real_count = _real_root_count(factor)
         seeds = _seeds(factor)
         guard = _guard_bits(cs)
         for attempt, prec in enumerate((precision_bits, 2 * precision_bits)):

@@ -11,12 +11,9 @@ Strip families are computed from the recurrence that the characteristic
 polynomial det(tI - MD) = t (t - 2) (t^2 + CHAR_B1 t + CHAR_B2) gives by
 Cayley-Hamilton, not from powers of MD.  Both paths start from one cached
 strip head per end pair (X(1..4) and the recurrence's modulus).
-Symbolically, each layer is a few passes of small integers over the
-coefficients in the basis t = x - 3, where the strips vanish to an order
-that grows by one per layer, and one Taylor shift returns to x.  The head
-also holds a cursor, the recurrence's last t-basis window and the length
-it belongs to, so that asking for lengths in ascending order runs each
-layer once.
+Symbolically, a layer is one pass per term of the modulus over the
+strips' coefficients in x, and a cursor in the head (the recurrence's last
+window and its length) lets ascending lengths run each layer once.
 Pointwise, s^(n-2) is taken modulo the recurrence by integer
 square-and-multiply (_power_mod, kept apart from exactnum.power for its
 symmetric squaring and shift-multiply).
@@ -180,8 +177,8 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     extension, the low coefficients (constant first) of a monic
     annihilator of the sequence X(2), X(3), ..., all as IntPolynomials,
     the ClosedForm of the family near 4, and (window, terms, cursor): the
-    recurrence's starting window in the basis t = x - 3, the terms of its
-    modulus there, and a cursor (see family_polynomial).
+    recurrence's starting window, the terms of its modulus and a cursor
+    (see family_polynomial).
 
     By Cayley-Hamilton the cubic (s - 2)(s^2 + CHAR_B1 s + CHAR_B2)
     annihilates the sequence from n = 2 on.  The residual
@@ -189,10 +186,9 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     r(n+1) = 2 r(n), so when r(2) is exactly zero (face-framed planar ends)
     the quadratic alone annihilates it; otherwise the cubic is used.
 
-    The t-basis window holds, for the last len(low) of X(1..4), the power
-    of t that X(k)(t + 3) starts at and its coefficients from there on, and
-    for each low[i] the nonzero terms (j, c) of low[i](t + 3).  The cursor
-    starts as [4, window].
+    The window holds (v, X(k)'s coefficients from x^v on), v the lowest
+    power present, for the last len(low) of X(1..4), and terms the nonzero
+    terms (j, c) of each low[i].  The cursor starts as [4, window].
     """
     grown = [qb]
     for _ in range(3):
@@ -204,10 +200,8 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     else:
         low = (-2 * CHAR_B2, CHAR_B2 - 2 * CHAR_B1,
                CHAR_B1 - IntPolynomial.constant(2))
-    window = tuple(_lowest_first(p.taylor_shift(3).coefficients)
-                   for p in xs[4 - len(low):])
-    terms = tuple(tuple((j, c) for j, c in
-                        enumerate(m.taylor_shift(3).coefficients) if c)
+    window = tuple(_lowest_first(p.coefficients) for p in xs[4 - len(low):])
+    terms = tuple(tuple((j, c) for j, c in enumerate(m.coefficients) if c)
                   for m in low)
     return xs, low, ClosedForm(xs, residual), (window, terms, [4, window])
 
@@ -225,22 +219,17 @@ def family_polynomial(qa: PartitionVector, qb: PartitionVector,
     and B: the scalar X(n) = Q(A)^T D (MD)^(n-1) Q(B).
 
     X(1..4) come from the strip head.  Further layers run the strip
-    recurrence X(k+d) = -sum_i low[i] X(k+i) (see _strip_head) in the
-    basis t = x - 3, where the strips vanish: from k = 2 on, X(k) of planar
-    ends starts at t^(k + c) for a c fixed by the pair (0 on H,W4); the
-    quadratic modulus is CHAR_B1(t+3) = 3t - 6t^2 - t^4 and
-    CHAR_B2(t+3) = -2t^3 + 4t^5 + 2t^6.  So a layer is six passes of one
-    small integer over coefficients 2.6 times narrower than in x (215
-    against 562 bits on H,W4 at n = 64), each subtracting c t^j w from the
-    new term in place, and one Taylor shift by -3 at the end brings X(n)
-    back to x.  The cubic modulus of non-planar ends takes the same loop.
+    recurrence X(k+d) = -sum_i low[i] X(k+i) (see _strip_head) in x, for
+    either modulus: each nonzero term c x^j of low[i] is one pass of the
+    small integer c, subtracting c x^j X(k+i) from the new term in place.
+    (In t = x - 3 the passes are fewer and narrower, but the Taylor shift
+    back to x costs more than a layer.)
 
     The head's cursor [k, window] holds the last length k the loop reached
-    and the last len(low) t-basis terms, X(k - len(low) + 1..k), of each
-    cached pair.  The loop resumes from it when k <= n and otherwise starts
-    from the head's window at k = 4, and leaves the cursor at n, so lengths
-    asked in ascending order take one layer step each.  The cursor changes
-    no answer; _strip_head.cache_clear() resets it with the head.
+    and X(k - len(low) + 1..k) of each cached pair.  The loop resumes from
+    it when k <= n, else from the head's window at k = 4, and leaves it at
+    n, so lengths asked in ascending order take one layer step each.  It
+    changes no answer; _strip_head.cache_clear() resets it with the head.
     """
     if n < 1:
         raise ValueError("strip length must be >= 1")
@@ -263,7 +252,7 @@ def family_polynomial(qa: PartitionVector, qb: PartitionVector,
         window = window[1:] + ((lo + v, w),)
     cursor[:] = n, window
     v, w = window[-1]
-    return IntPolynomial([0] * v + w).taylor_shift(-3)
+    return IntPolynomial([0] * v + w)
 
 
 def _power_mod(k: int, low: Sequence[int]) -> list:

@@ -166,6 +166,33 @@ def test_sturm_count_matches_squarefree_oracle(case, data):
     assert sturm_count(p, lo, hi) == oracle_sturm_count(oracle_sturm_chain(p), lo, hi)
 
 
+def cauchy_count(p):
+    """sturm_count on (-B, B], B > 1 + max |c_i / c_d| (Cauchy's bound)."""
+    cs = p.coefficients
+    bound = Fraction(2 + max(map(abs, cs[:-1])) // abs(cs[-1]))
+    return sturm_count(p, -bound, bound)
+
+
+def test_real_root_count_matches_sturm_count_on_strip_factors(family_hw4):
+    """The count on the whole line from the chain's leading coefficients,
+    which complex_roots takes, equals sturm_count's on the squarefree
+    factors of H,W4 at n <= 30."""
+    for n in range(1, 31):
+        rest, _ = roots._deflate_small_integer_roots(family_hw4.polynomial(n))
+        for factor, _ in squarefree_factors(rest):
+            assert roots._real_root_count(factor) == cauchy_count(factor), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(factored_polynomials().map(lambda case: case[0]),
+                 st.lists(st.integers(-50, 50), min_size=2, max_size=12)
+                 .filter(lambda cs: cs[-1]).map(IntPolynomial)))
+def test_real_root_count_matches_sturm_count(p):
+    p = squarefree_part(p)
+    if p.degree >= 1:
+        assert roots._real_root_count(p) == cauchy_count(p)
+
+
 def test_sturm_count_endpoints_on_simple_and_multiple_roots():
     # Roots 0, 1 (double), 2 (triple), -1 and +-sqrt 2 (double each).
     x = IntPolynomial([0, 1])
