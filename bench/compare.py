@@ -48,6 +48,8 @@ COLD_COMMANDS = {"reproduce_tables_s": ["reproduce-tables"],
                               "--n", "10"],
                  "verify_golden_s": ["verify-golden", "--endA", "H",
                                      "--endB", "W4", "--max-n", "128"],
+                 "family_128_s": ["family", "--endA", "H", "--endB", "W4",
+                                  "--n", "128"],
                  "family_512_s": ["family", "--endA", "H", "--endB", "W4",
                                   "--n", "512"]}
 

@@ -345,10 +345,11 @@ def _sign_variations(seq: Sequence[IntPolynomial], at: Fraction) -> int:
     return _variations(q.sign_at(at) for q in seq)
 
 
-def _real_root_count(p: IntPolynomial) -> int:
-    """Number of distinct real roots of p, degree >= 1: the sign
-    variations of its Sturm chain at -inf less those at +inf."""
-    lcs = [(q.leading_coefficient(), q.degree % 2) for q in sturm_sequence(p)]
+def _real_root_count(chain: Sequence[IntPolynomial]) -> int:
+    """Number of distinct real roots of a squarefree polynomial of degree
+    >= 1 from its Sturm chain: the sign variations at -inf less those at
+    +inf."""
+    lcs = [(q.leading_coefficient(), q.degree % 2) for q in chain]
     return (_variations(-c if odd else c for c, odd in lcs)
             - _variations(c for c, _ in lcs))
 
@@ -687,10 +688,12 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
     """All complex roots of p at the requested working precision.
 
     The integer roots 0, 1, 2, ... are divided out first and emitted
-    exactly, with their multiplicity and residual 0.  Multiple roots of the
-    rest are handled by Yun squarefree decomposition: each squarefree factor
-    is solved by Aberth-Ehrlich iteration and its roots are emitted with the
-    right multiplicity.  The iteration runs twice, at most MAX_SWEEPS
+    exactly, with their multiplicity and residual 0.  One Sturm chain of
+    the rest follows.  When its last member, gcd(rest, rest'), is constant,
+    the rest is squarefree and is the only factor; otherwise Yun
+    squarefree decomposition splits it.  Each squarefree factor is solved
+    by Aberth-Ehrlich iteration and its roots are emitted with the right
+    multiplicity.  The iteration runs twice, at most MAX_SWEEPS
     sweeps each: first in Python floats on the factor shifted to the roots'
     centroid, scaled to its root radius and normalised by its largest
     coefficient (the seeds, see _seeds), then from those seeds, read
@@ -698,13 +701,13 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
     precision plus 32 plus _guard_bits.  In both, a root that has reached
     the round-off floor is settled and not evaluated again.  The settled
     iterates are converted exactly to mpmath numbers.  The number of real
-    roots of each factor is Sturm's exact count (_real_root_count): that
-    many roots nearest the real axis are made real and the rest are
-    emitted in conjugate pairs.  One retry of the fixed-point stage at
-    doubled precision when it does not settle or its non-real roots do not
-    split evenly between the half-planes.  Residuals are evaluated in
-    mpmath against the original coefficients at doubled precision,
-    relative to sum_i |c_i| |z|^i (see ComplexRootSet), a check
+    roots of each factor is Sturm's exact count from its chain
+    (_real_root_count): that many roots nearest the real axis are made
+    real and the rest are emitted in conjugate pairs.  One retry of the
+    fixed-point stage at doubled precision when it does not settle or its
+    non-real roots do not split evenly between the half-planes.  Residuals
+    are evaluated in mpmath against the original coefficients at doubled
+    precision, relative to sum_i |c_i| |z|^i (see ComplexRootSet), a check
     independent of the fixed-point arithmetic.
     """
     import mpmath as mp
@@ -716,10 +719,16 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
         raise ValueError("need precision_bits >= 1")
 
     rest, integer_roots = _deflate_small_integer_roots(p)
+    chain = sturm_sequence(rest)
+    if rest.degree > 0 and chain[-1].degree == 0:
+        factor = chain[0] if chain[0].leading_coefficient() > 0 else -chain[0]
+        factors = [(factor, 1, _real_root_count(chain))]
+    else:
+        factors = [(f, mult, _real_root_count(sturm_sequence(f)))
+                   for f, mult in squarefree_factors(rest)]
     collected = []
-    for factor, mult in squarefree_factors(rest):
+    for factor, mult, real_count in factors:
         cs = factor.coefficients
-        real_count = _real_root_count(factor)
         seeds = _seeds(factor)
         guard = _guard_bits(cs)
         for attempt, prec in enumerate((precision_bits, 2 * precision_bits)):

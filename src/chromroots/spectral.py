@@ -86,10 +86,6 @@ class EigenSystem:
     v3: tuple = ()              # QuadExt entries, 4th coordinate +1
     v4: tuple = V4
 
-    @property
-    def eps(self) -> Fraction:
-        return 4 - self.x
-
     def eigenpairs(self) -> tuple:
         return ((self.lambda1, self.v1), (self.lambda2, self.v2),
                 (self.lambda3, self.v3), (self.lambda4, self.v4))
@@ -191,10 +187,6 @@ class Decomposition:
     def reconstruct(self) -> tuple:
         vecs = (self.system.v1, self.system.v2, self.system.v3, self.system.v4)
         return tuple(dot(self.alpha, column) for column in zip(*vecs))
-
-    def projection(self, i: int):
-        """alpha_i * ||v_i||^2 = Q(x)^T D v_i for eigenvector i (1..4)."""
-        return self.alpha[i - 1] * self.norms[i - 1]
 
 
 def decompose(q: PartitionVector, es: EigenSystem) -> Decomposition:

@@ -11,9 +11,10 @@ Strip families are computed from the recurrence that the characteristic
 polynomial det(tI - MD) = t (t - 2) (t^2 + CHAR_B1 t + CHAR_B2) gives by
 Cayley-Hamilton, not from powers of MD.  Both paths start from one cached
 strip head per end pair (X(1..4) and the recurrence's modulus).
-Symbolically, a layer is one pass per term of the modulus over the
-strips' coefficients in x, and a cursor in the head (the recurrence's last
-window and its length) lets ascending lengths run each layer once.
+Symbolically, a layer is one dot product (exactnum.dot) of the modulus's
+low coefficients with the last strips, in x, and a cursor in the head (the
+recurrence's last window and its length) lets ascending lengths run each
+layer once.
 Pointwise, s^(n-2) is taken modulo the recurrence by integer
 square-and-multiply (_power_mod, kept apart from exactnum.power for its
 symmetric squaring and shift-multiply).
@@ -29,8 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import repeat
-from operator import mul, sub
 from typing import Sequence
 
 from .chromatic import (PartitionVector, _walk_colourings,
@@ -176,19 +175,14 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     """X(1..4) of the strip with ends A and B, by gluing and layer
     extension, the low coefficients (constant first) of a monic
     annihilator of the sequence X(2), X(3), ..., all as IntPolynomials,
-    the ClosedForm of the family near 4, and (window, terms, cursor): the
-    recurrence's starting window, the terms of its modulus and a cursor
-    (see family_polynomial).
+    the ClosedForm of the family near 4, and a cursor (see
+    family_polynomial), which starts as [4, X(5 - len(low)..4)].
 
     By Cayley-Hamilton the cubic (s - 2)(s^2 + CHAR_B1 s + CHAR_B2)
     annihilates the sequence from n = 2 on.  The residual
     r(n) = X(n+2) + CHAR_B1 X(n+1) + CHAR_B2 X(n) then obeys
     r(n+1) = 2 r(n), so when r(2) is exactly zero (face-framed planar ends)
     the quadratic alone annihilates it; otherwise the cubic is used.
-
-    The window holds (v, X(k)'s coefficients from x^v on), v the lowest
-    power present, for the last len(low) of X(1..4), and terms the nonzero
-    terms (j, c) of each low[i].  The cursor starts as [4, window].
     """
     grown = [qb]
     for _ in range(3):
@@ -200,17 +194,7 @@ def _strip_head(qa: PartitionVector, qb: PartitionVector) -> tuple:
     else:
         low = (-2 * CHAR_B2, CHAR_B2 - 2 * CHAR_B1,
                CHAR_B1 - IntPolynomial.constant(2))
-    window = tuple(_lowest_first(p.coefficients) for p in xs[4 - len(low):])
-    terms = tuple(tuple((j, c) for j, c in enumerate(m.coefficients) if c)
-                  for m in low)
-    return xs, low, ClosedForm(xs, residual), (window, terms, [4, window])
-
-
-def _lowest_first(cs: Sequence[int]) -> tuple:
-    """(v, cs[v:]) for the first nonzero cs[v]; (0, cs) when cs is empty.
-    cs has no trailing zeros."""
-    v = next((j for j, c in enumerate(cs) if c), 0)
-    return v, cs[v:]
+    return xs, low, ClosedForm(xs, residual), [4, xs[4 - len(low):]]
 
 
 def family_polynomial(qa: PartitionVector, qb: PartitionVector,
@@ -220,39 +204,25 @@ def family_polynomial(qa: PartitionVector, qb: PartitionVector,
 
     X(1..4) come from the strip head.  Further layers run the strip
     recurrence X(k+d) = -sum_i low[i] X(k+i) (see _strip_head) in x, for
-    either modulus: each nonzero term c x^j of low[i] is one pass of the
-    small integer c, subtracting c x^j X(k+i) from the new term in place.
-    (In t = x - 3 the passes are fewer and narrower, but the Taylor shift
-    back to x costs more than a layer.)
+    either modulus, one dot product per layer; low is the left operand of
+    each product, so its few coefficients drive the outer loop.
 
     The head's cursor [k, window] holds the last length k the loop reached
     and X(k - len(low) + 1..k) of each cached pair.  The loop resumes from
-    it when k <= n, else from the head's window at k = 4, and leaves it at
-    n, so lengths asked in ascending order take one layer step each.  It
+    it when k <= n, else from X(5 - len(low)..4) at k = 4, and leaves it
+    at n, so lengths asked in ascending order take one layer step each.  It
     changes no answer; _strip_head.cache_clear() resets it with the head.
     """
     if n < 1:
         raise ValueError("strip length must be >= 1")
-    xs, _, _, (head, terms, cursor) = _strip_head(qa, qb)
+    xs, low, _, cursor = _strip_head(qa, qb)
     if n <= 4:
         return xs[n - 1]
-    k, window = cursor if cursor[0] <= n else (4, head)
+    k, window = cursor if cursor[0] <= n else (4, xs[4 - len(low):])
     for _ in range(n - k):
-        parts = [(v + j, w, c) for (v, w), ts in zip(window, terms)
-                 for j, c in ts]
-        lo = min(s for s, _, _ in parts)
-        out = [0] * (max(s + len(w) for s, w, _ in parts) - lo)
-        for s, w, c in parts:
-            s -= lo
-            e = s + len(w)
-            out[s:e] = map(sub, out[s:e], map(mul, w, repeat(c)))
-        while out and not out[-1]:
-            out.pop()
-        v, w = _lowest_first(out)
-        window = window[1:] + ((lo + v, w),)
+        window = window[1:] + (-dot(low, window),)
     cursor[:] = n, window
-    v, w = window[-1]
-    return IntPolynomial([0] * v + w)
+    return window[-1]
 
 
 def _power_mod(k: int, low: Sequence[int]) -> list:

@@ -180,7 +180,8 @@ def test_real_root_count_matches_sturm_count_on_strip_factors(family_hw4):
     for n in range(1, 31):
         rest, _ = roots._deflate_small_integer_roots(family_hw4.polynomial(n))
         for factor, _ in squarefree_factors(rest):
-            assert roots._real_root_count(factor) == cauchy_count(factor), n
+            assert (roots._real_root_count(sturm_sequence(factor))
+                    == cauchy_count(factor)), n
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,7 +191,7 @@ def test_real_root_count_matches_sturm_count_on_strip_factors(family_hw4):
 def test_real_root_count_matches_sturm_count(p):
     p = squarefree_part(p)
     if p.degree >= 1:
-        assert roots._real_root_count(p) == cauchy_count(p)
+        assert roots._real_root_count(sturm_sequence(p)) == cauchy_count(p)
 
 
 def test_sturm_count_endpoints_on_simple_and_multiple_roots():
@@ -434,20 +435,19 @@ def test_complex_roots_agree_with_mpmath_polyroots(family_hw4):
 
 
 def test_complex_roots_emits_the_integer_roots_exactly(family_hw4, monkeypatch):
-    """H,W4 at n=10 is x(x-1)(x-2)(x-3)^10 r: Yun runs on r alone, the
-    roots 0, 1, 2 and 3 (ten times) come out exact with residual 0, and the
-    real roots are Sturm's count with multiplicity."""
+    """H,W4 at n=10 is x(x-1)(x-2)(x-3)^10 r with r squarefree: one Sturm
+    chain on r alone and no gcd, the roots 0, 1, 2 and 3 (ten times) come
+    out exact with residual 0, and the real roots are Sturm's count with
+    multiplicity."""
     p = family_hw4.polynomial(10)
     rest, ks = roots._deflate_small_integer_roots(p)
     assert ks == {0: 1, 1: 1, 2: 1, 3: 10}
     assert rest * IntPolynomial([0, 1]) * IntPolynomial([-1, 1]) \
         * IntPolynomial([-2, 1]) * IntPolynomial([-3, 1]) ** 10 == p
-    yun_degrees = []
-    real_yun = roots.squarefree_factors
-    monkeypatch.setattr(roots, "squarefree_factors",
-                        lambda q: yun_degrees.append(q.degree) or real_yun(q))
+    gcd_calls, chains = spy_on_chains(monkeypatch)
     rs = complex_roots(p)
-    assert yun_degrees == [p.degree - 13]
+    assert [chain[0].degree for chain in chains] == [p.degree - 13]
+    assert gcd_calls == []
     assert len(rs.roots) == p.degree
     exact = [(re, res) for (re, im), res in zip(rs.roots, rs.residuals)
              if im == 0 and re == int(re) and re <= 3]

@@ -198,10 +198,10 @@ def test_ascending_lengths_take_one_layer_step_each(q_h, q_w4, monkeypatch):
     family_polynomial(q_h, q_w4, 1)            # builds the head
     steps = []
 
-    def counted(cs, _f=transfer._lowest_first):
-        steps.append(len(cs))
-        return _f(cs)
-    monkeypatch.setattr(transfer, "_lowest_first", counted)
+    def counted(*vectors, _f=transfer.dot):
+        steps.append(len(vectors))
+        return _f(*vectors)
+    monkeypatch.setattr(transfer, "dot", counted)
     for n in range(1, 65):
         family_polynomial(q_h, q_w4, n)
     assert len(steps) == 60
@@ -484,7 +484,7 @@ def test_non_planar_pair_takes_the_cubic():
 @settings(max_examples=40, deadline=None)
 @given(qa=framed_vectors, qb=framed_vectors, x=points)
 @example(qa=NON_PLANAR, qb=NON_PLANAR, x=Fraction(4))
-@example(qa=ZERO, qb=ZERO, x=Fraction(4))   # an all-zero t-basis window
+@example(qa=ZERO, qb=ZERO, x=Fraction(4))   # a window of zero polynomials
 def test_recurrence_matches_oracle_for_arbitrary_vectors(qa, qb, x):
     expected = oracle_strip(qa, qb, 12)
     for n in range(1, 13):
