@@ -18,14 +18,14 @@ malformed graph file, an option out of range, a path that cannot be read
 or written) gives a one-line error on stderr and exit code 2.  The sizes
 are capped before any work starts: a graph file's vertex count <=
 graphs.MAX_VERTICES, root4 --n <= MAX_POINTWISE_N, root4 --digits <=
-MAX_DIGITS, family --n <= MAX_SYMBOLIC_N, croots --bits <= MAX_BITS, the
-croots strip's vertex count (its degree) <= roots.MAX_DEGREE,
-verify-golden --n or --max-n (not both) <= MAX_GOLDEN_N and
-reproduce-tables --max-n <= MAX_TABLE_N.  croots runs each stage of its
-root iteration for at most roots.MAX_SWEEPS sweeps.  The chromatic
-polynomial engine, which every subcommand but verify-M runs, stops with a
-one-line resource limit error after chromatic.MAX_STATES frontier states
-or once its states would hold chromatic.MAX_HELD_WORDS machine words.
+MAX_DIGITS, family --n and verify-golden --n or --max-n (not both) <=
+MAX_SYMBOLIC_N, croots --bits <= MAX_BITS, the croots strip's vertex count
+(its degree) <= roots.MAX_DEGREE and reproduce-tables --max-n <=
+MAX_TABLE_N.  croots runs each stage of its root iteration for at most
+roots.MAX_SWEEPS sweeps.  The chromatic polynomial engine, which every
+subcommand but verify-M runs, stops with a one-line resource limit error
+after chromatic.MAX_STATES frontier states or once its states would hold
+chromatic.MAX_HELD_WORDS machine words.
 """
 
 from __future__ import annotations
@@ -58,13 +58,13 @@ from .graphs import FIXTURE_NAMES, FramedGraph, load_fixture, parse_graph_text
 MAX_POINTWISE_N = 4097
 MAX_DIGITS = 30
 MAX_BITS = 1024
-#: Cap on family --n.  The W4,W4 strip at n = 512 (degree 2050) takes
-#: 1.7 s, 29 MB and 2 MB of JSON on a 2-core x86-64 machine; n = 1024
-#: takes 11.3 s and 31 MB in the library (each doubling of n costs about 8
-#: times the time).
+#: Cap on family --n and on verify-golden --n and --max-n.  The W4,W4
+#: strip at n = 512 (degree 2050) takes 1.7 s, 29 MB and 2 MB of JSON on a
+#: 2-core x86-64 machine; n = 1024 takes 11.3 s and 31 MB in the library
+#: (each doubling of n costs about 8 times the time).  verify-golden
+#: --max-n 512 takes 2.5-4.4 s and 23 MB on H,W4 or W4,W4, since ascending
+#: lengths cost one layer step each.
 MAX_SYMBOLIC_N = 512
-#: Cap on verify-golden --n and --max-n.
-MAX_GOLDEN_N = 128
 #: Cap on reproduce-tables --max-n: the largest row of either table
 #: (tables.BY_N_ROWS and tables.DOUBLING_ROWS).
 MAX_TABLE_N = 512
@@ -218,11 +218,11 @@ def cmd_verify_golden(args) -> int:
     from .transfer import golden_identity_check
     if args.max_n is None:
         ns = [2 if args.n is None else args.n]
-        _check_range("--n", ns[0], 1, MAX_GOLDEN_N)
+        _check_range("--n", ns[0], 1, MAX_SYMBOLIC_N)
     elif args.n is not None:
         raise ValueError("give --n or --max-n, not both")
     else:
-        _check_range("--max-n", args.max_n, 1, MAX_GOLDEN_N)
+        _check_range("--max-n", args.max_n, 1, MAX_SYMBOLIC_N)
         ns = range(1, args.max_n + 1)
     fam, size = _load_family(args)
     results = []
@@ -394,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endA", default="H")
     p.add_argument("--endB", default="W4")
     p.add_argument("--n", type=int,
-                   help=f"strip length (default 2), at most {MAX_GOLDEN_N}")
+                   help=f"strip length (default 2), at most {MAX_SYMBOLIC_N}")
     p.add_argument("--max-n", type=int,
                    help="check all n up to this bound instead, at most "
-                        f"{MAX_GOLDEN_N}")
+                        f"{MAX_SYMBOLIC_N}")
     common(p)
     p.set_defaults(func=cmd_verify_golden)
 

@@ -392,29 +392,24 @@ class QuadExt:
         self.b = b
         self.d = d
 
-    # -- coercion helpers
-
-    def _match(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            if other.b == 0:
-                return QuadExt(other.a, 0, self.d)
-            if self.b == 0:
-                return other  # caller re-dispatches in our frame via _lift
-            if other.d != self.d:
-                raise MixedRadicandError(
-                    f"cannot combine sqrt({self.d}) with sqrt({other.d})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
-        raise TypeError(f"cannot combine QuadExt with {type(other).__name__}")
+    # -- coercion
 
     def _pair(self, other) -> tuple:
-        """Return (self', other') in a common field."""
-        o = self._match(other)
-        if o.d == self.d:
-            return self, o
-        # self is rational, adopt the other radicand
-        return QuadExt(self.a, 0, o.d), o
+        """(self, other) in one field.  An int or Fraction is lifted into
+        self's field, a rational side takes the other side's radicand, and
+        two irrational sides must share theirs."""
+        if isinstance(other, (int, Fraction)):
+            return self, QuadExt(other, 0, self.d)
+        if not isinstance(other, QuadExt):
+            raise TypeError(f"cannot combine QuadExt with {type(other).__name__}")
+        if other.b == 0:
+            return self, QuadExt(other.a, 0, self.d)
+        if other.d == self.d:
+            return self, other
+        if self.b == 0:
+            return QuadExt(self.a, 0, other.d), other
+        raise MixedRadicandError(
+            f"cannot combine sqrt({self.d}) with sqrt({other.d})")
 
     # -- ring / field operations
 
@@ -475,31 +470,16 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def rational_value(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError("value is irrational")
-        return self.a
-
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d), by comparing a^2 against b^2 d."""
+        """Exact sign of a + b*sqrt(d): the sign of a when b is 0 or has a's
+        sign, else the sign of the larger in size of a and b*sqrt(d), by
+        comparing a^2 with b^2 d (never equal: __init__ folds square d)."""
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: |a| vs |b| sqrt(d) decides.
-        lhs = a * a
-        rhs = b * b * self.d
-        if lhs == rhs:
-            return 0
-        bigger_rational = lhs > rhs
-        if a > 0:  # b < 0
-            return 1 if bigger_rational else -1
-        return -1 if bigger_rational else 1
+        sa = (a > 0) - (a < 0)
+        sb = (b > 0) - (b < 0)
+        if sa == sb or not sb:
+            return sa
+        return sa if a * a > b * b * self.d else sb
 
     def __eq__(self, other) -> bool:
         try:

@@ -3,9 +3,8 @@ operations, a text file format, and the bundled end-graph fixtures.
 
 Vertices are 0..n-1.  Graphs are immutable: every surgery operation
 (edge addition, vertex identification, gluing) returns a new Graph.
-Adjacency is one bitmask per vertex; of the mask walkers here, _bits (set
-bits) serves Graph and the brute-force colouring oracle, and _components
-only Graph.is_connected.
+Adjacency is one bitmask per vertex, and _bits lists a mask's set bits for
+Graph and the brute-force colouring oracle.
 """
 
 from __future__ import annotations
@@ -23,27 +22,6 @@ def _bits(m: int) -> tuple:
         out.append(low.bit_length() - 1)
         m ^= low
     return tuple(out)
-
-
-def _components(masks: tuple) -> list:
-    """Vertex sets (as sorted tuples) of the connected components."""
-    n = len(masks)
-    seen = 0
-    comps = []
-    for s in range(n):
-        if seen & (1 << s):
-            continue
-        comp = 1 << s
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= masks[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        comps.append(_bits(comp))
-    return comps
 
 
 #: Cap on the vertex count of a graph file.  `chromroots poly` takes
@@ -108,14 +86,8 @@ class Graph:
             self._masks = tuple(masks)
         return self._masks
 
-    def degree(self, v: int) -> int:
-        return self.adjacency_masks()[v].bit_count()
-
     def neighbours(self, v: int) -> tuple:
         return _bits(self.adjacency_masks()[v])
-
-    def is_connected(self) -> bool:
-        return self._n <= 1 or len(_components(self.adjacency_masks())) == 1
 
     # -- surgery
 
@@ -273,17 +245,20 @@ def parse_graph_text(text: str):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "vertices" and len(parts) == 2:
-            n = int(parts[1])
+        kind, *fields = line.split()
+        try:
+            values = tuple(map(int, fields))
+        except ValueError:  # a non-integer token: no form below matches
+            values = ()
+        if kind == "vertices" and len(values) == 1:
+            n = values[0]
             if not 0 <= n <= MAX_VERTICES:
                 raise ValueError(f"line {lineno}: vertex count must be in "
                                  f"[0, {MAX_VERTICES}], got {n}")
-        elif kind == "edge" and len(parts) == 3:
-            edges.append((int(parts[1]), int(parts[2])))
-        elif kind == "frame" and len(parts) == 5:
-            frame = tuple(int(p) for p in parts[1:])
+        elif kind == "edge" and len(values) == 2:
+            edges.append(values)
+        elif kind == "frame" and len(values) == 4:
+            frame = values
         else:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}")
     if n is None:
@@ -292,20 +267,6 @@ def parse_graph_text(text: str):
     if frame is not None:
         return FramedGraph(g, frame)
     return g
-
-
-def format_graph_text(g, comment: str = "") -> str:
-    """Inverse of parse_graph_text."""
-    graph = g.graph if isinstance(g, FramedGraph) else g
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"vertices {graph.vertex_count}")
-    for u, v in graph.edges:
-        lines.append(f"edge {u} {v}")
-    if isinstance(g, FramedGraph):
-        lines.append("frame {} {} {} {}".format(*g.frame))
-    return "\n".join(lines) + "\n"
 
 
 FIXTURE_NAMES = ("W4", "H", "L", "neg10")

@@ -37,8 +37,8 @@ from .transfer import (B1_EPS, CHAR_B1, CHAR_B2, DT_EPS, _at_four_minus_eps,
 #: which the four eigenvalues are distinct.
 GUARD_LO = Fraction(181, 50)
 
-#: Limit of the second eigenvector as x -> 4 (used by the fast-path
-#: classifier constant).
+#: Limit of the second eigenvector as x -> 4 (limit_projection_check
+#: compares Q(4)^T D(4) v2(4) with the classifier constant).
 V2_AT_FOUR = (Fraction(3, 2), Fraction(1), Fraction(1), Fraction(-1))
 
 #: Constant eigenvectors for eigenvalues 2 and 0.
@@ -394,7 +394,7 @@ def predict_roots_to_four(qa: PartitionVector, qb: PartitionVector) -> bool:
 
 
 def limit_projection_check(q: PartitionVector) -> bool:
-    """Q(4)^T D(4) v2(4) equals the fast-path constant (5/24) P1(4), with
+    """Q(4)^T D(4) v2(4) equals the classifier constant (5/24) P1(4), with
     v2(4) the limit vector (3/2, 1, 1, -1)."""
     return (_d_product_at(Fraction(4), q.eval_fraction(Fraction(4)), V2_AT_FOUR)
             == classifier_constant(q))

@@ -159,11 +159,16 @@ def test_quad_radicand_mixing_rules():
     c = QuadExt(3, 0, 7)
     assert (a + c).d == 5
     assert (a + c).a == 4
+    assert (c + a).d == 5 and c * a == QuadExt(3, 3, 5)
+    # Other types neither coerce nor compare equal.
+    with pytest.raises(TypeError):
+        _ = a + 1.5
+    assert a != "1 + sqrt(5)" and a != b
 
 
 def test_quad_perfect_square_degenerates():
     s = QuadExt(1, 2, 9)   # 1 + 2*3
-    assert s.is_rational() and s.rational_value() == 7
+    assert s.is_rational() and s == 7
 
 
 def test_quad_powers_and_golden_ratio():
@@ -181,7 +186,7 @@ def test_quad_powers_and_golden_ratio():
 def test_sqrt_rational():
     r = sqrt_rational(Fraction(50, 9))
     assert r.d == 2 and (r * r - Fraction(50, 9)).is_zero()
-    assert sqrt_rational(Fraction(49, 4)).rational_value() == Fraction(7, 2)
+    assert sqrt_rational(Fraction(49, 4)) == Fraction(7, 2)
     with pytest.raises(ValueError):
         sqrt_rational(Fraction(-1))
 

