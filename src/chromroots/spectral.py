@@ -15,8 +15,8 @@ series with rational coefficients.  An end's class is the sign of the first
 nonzero coefficient, the sign of the eigen-projection that decides where
 the strip roots accumulate (Beraha, Kahane and Weiss, 1980).  How many
 coefficients can vanish before it is bounded from the degrees of Q, so the
-verdict is a proof, not a sampled sign.  eigensystem_at and
-second_projection_at at rational points remain the test oracle.
+verdict is a proof, not a sampled sign.  At a rational point,
+eigensystem_at takes v2 and v3 from the same Cramer solution in Z[x][lambda2].
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import List, Sequence
+from typing import Sequence
 
 from .chromatic import PartitionVector
 from .exactnum import IntPolynomial, QuadExt, dot, quad_mul, sqrt_rational
@@ -91,65 +91,53 @@ class EigenSystem:
                 (self.lambda3, self.v3), (self.lambda4, self.v4))
 
 
-def _kernel_vector(rows: List[list], d: int) -> list:
-    """One kernel vector of a singular 4x4 matrix over Q(sqrt d); requires
-    the kernel to be one-dimensional."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(4):
-        pr = next((i for i in range(r, 4) if not mat[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [e * inv for e in mat[r]]
-        for i in range(4):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(4) if c not in pivots]
-    if len(free) != 1:
-        raise ArithmeticError(f"kernel dimension {len(free)}, expected 1")
-    fc = free[0]
-    v = [QuadExt(0, 0, d)] * 4
-    v[fc] = QuadExt(1, 0, d)
-    for row, pc in zip(mat, pivots):
-        v[pc] = -row[fc]
-    return v
+#: Product in Z[x][lam2], lam2^2 = -CHAR_B1 lam2 - CHAR_B2, of pairs (p, q)
+#: of IntPolynomial.
+_lam_mul = partial(quad_mul, b1=CHAR_B1, b2=CHAR_B2)
+
+
+def _lam_cross(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
+    """a b - c d in Z[x][lam2]."""
+    (p, q), (r, s) = _lam_mul(a, b), _lam_mul(c, d)
+    return p - r, q - s
+
+
+@lru_cache(maxsize=1)
+def _cramer_v2() -> tuple:
+    """(num_a, num_b, det) in Z[x][lam2]: v2 = (a, b, b, -1) with
+    a = num_a / det and b = num_b / det solves the first two rows of
+    (MD - lam2) v = 0, A00 a + A01 b = R0 and A10 a + A11 b = R1."""
+    md = build_MD().entries
+    zero, minus_one = IntPolynomial.zero(), IntPolynomial.constant(-1)
+    (a00, a01, r0), (a10, a11, r1) = (
+        ((md[i][0], minus_one if i == 0 else zero),
+         (md[i][1] + md[i][2], minus_one if i == 1 else zero),
+         (md[i][3], zero)) for i in (0, 1))
+    det = _lam_cross(a00, a11, a01, a10)
+    num_a = _lam_cross(r0, a11, a01, r1)
+    num_b = _lam_cross(a00, r1, r0, a10)
+    return num_a, num_b, det
 
 
 def eigensystem_at(x: Fraction) -> EigenSystem:
     """Exact eigensystem at a rational x strictly inside [GUARD_LO, 4).
 
-    v2 is normalised so its 4th coordinate is -1, v3 so its 4th coordinate
-    is +1; this pins the classifier sign convention.
+    v2 and v3 are the Cramer solution _cramer_v2 at x and at lam2 or lam3,
+    scaled to 4th coordinate -1 and +1 (the classifier sign convention);
+    lam3 is eigenvalues_at's, as a rational lam2's conjugate is lam2.
     """
     x = Fraction(x)
     if not (GUARD_LO <= x < 4):
         raise GuardError(f"x = {x} outside [{GUARD_LO}, 4)")
     lam1, lam2, lam3, lam4 = eigenvalues_at(x)
-    d = lam2.d if not lam2.is_rational() else 1
-    md = build_MD().evaluate(x)
-
-    def solve(lam: QuadExt, target_last: int) -> tuple:
-        dd = lam.d
-        rows = [[QuadExt(md[i][j], 0, dd) - (lam if i == j else 0)
-                 for j in range(4)] for i in range(4)]
-        v = _kernel_vector(rows, dd)
-        last = v[3]
-        if last.is_zero():
-            raise ArithmeticError("eigenvector has zero 4th coordinate; "
-                                  "cannot apply the fixed normalisation")
-        scale = QuadExt(target_last, 0, dd) / last
-        return tuple(e * scale for e in v)
-
-    v2 = solve(lam2, -1)
-    v3 = solve(lam3, +1)
-    return EigenSystem(x=x, d=d, lambda1=lam1, lambda2=lam2, lambda3=lam3,
-                       lambda4=lam4, v2=v2, v3=v3)
+    at_x = [(p.eval_fraction(x), q.eval_fraction(x)) for p, q in _cramer_v2()]
+    vecs = []
+    for lam, last in ((lam2, -1), (lam3, 1)):
+        num_a, num_b, det = (p + q * lam for p, q in at_x)
+        a, b = -last * num_a / det, -last * num_b / det
+        vecs.append((a, b, b, QuadExt(last, 0, lam.d)))
+    return EigenSystem(x=x, d=lam2.d, lambda1=lam1, lambda2=lam2,
+                       lambda3=lam3, lambda4=lam4, v2=vecs[0], v3=vecs[1])
 
 
 def eigen_residual(es: EigenSystem, which: int) -> tuple:
@@ -248,35 +236,16 @@ def _series_divide(a: list, b: list) -> list:
     return out
 
 
-#: Product in Z[x][lam2], lam2^2 = -CHAR_B1 lam2 - CHAR_B2, of pairs (p, q)
-#: of IntPolynomial.
-_lam_mul = partial(quad_mul, b1=CHAR_B1, b2=CHAR_B2)
-
-
-def _lam_cross(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
-    """a b - c d in Z[x][lam2]."""
-    (p, q), (r, s) = _lam_mul(a, b), _lam_mul(c, d)
-    return p - r, q - s
-
-
 @lru_cache(maxsize=1)
 def _projection_multipliers() -> tuple:
     """(m1, m2, m4, w) in Z[x][lam2] with
     Q^T D v2 = (Q1 m1 + (Q2 + Q3) m2 + Q4 m4) / w.
 
-    v2 = (a, b, b, -1) solves the first two rows of (MD - lam2) v = 0,
-    A00 a + A01 b = R0 and A10 a + A11 b = R1, by Cramer's rule; the
-    entries of Q^T D v2 are then Q1 a / ff2, (Q2 + Q3) b / ff3, -Q4 / ff4.
+    Q^T D v2 = Q1 a / ff2 + (Q2 + Q3) b / ff3 - Q4 / ff4 with a = num_a / det
+    and b = num_b / det from _cramer_v2, the solve eigensystem_at evaluates.
     """
-    md = build_MD().entries
-    zero, minus_one = IntPolynomial.zero(), IntPolynomial.constant(-1)
-    (a00, a01, r0), (a10, a11, r1) = (
-        ((md[i][0], minus_one if i == 0 else zero),
-         (md[i][1] + md[i][2], minus_one if i == 1 else zero),
-         (md[i][3], zero)) for i in (0, 1))
-    det = _lam_cross(a00, a11, a01, a10)
-    num_a = _lam_cross(r0, a11, a01, r1)
-    num_b = _lam_cross(a00, r1, r0, a10)
+    num_a, num_b, det = _cramer_v2()
+    zero = IntPolynomial.zero()
     (c1, c2, _, c4), denominator = cleared_weights()
     return tuple(_lam_mul(e, (g, zero)) for e, g in (
         (num_a, c1), (num_b, c2), (det, -c4), (det, denominator)))

@@ -11,12 +11,15 @@ import pytest
 from chromroots.chromatic import PartitionVector, partitioned_chromatic
 from chromroots.exactnum import IntPolynomial, QuadExt, falling_factorial
 from chromroots.graphs import FramedGraph, Graph
-from chromroots.spectral import (GUARD_LO, GuardError, classifier_constant,
+from chromroots.roots import sturm_count
+from chromroots.spectral import (GUARD_LO, GuardError, _cramer_v2,
+                                 _d_product_at, classifier_constant,
                                  classify_end_graph, decompose, eigen_residual,
                                  eigensystem_at, eigenvalues_at,
                                  limit_projection_check, orthogonality_check,
                                  planar_face_identity, predict_roots_to_four,
                                  second_projection_at)
+from chromroots.transfer import CHAR_B1, CHAR_B2, family_value_at
 
 from test_transfer import NON_PLANAR
 
@@ -68,6 +71,40 @@ def test_eigensystem_random_points_exact():
         assert es.lambda3.sign() > 0
         assert (es.lambda2 - es.lambda3).sign() > 0
         assert (QuadExt(2, 0, es.d if es.d > 1 else 5) - es.lambda2).sign() > 0
+
+
+def test_cramer_determinant_has_no_root_on_the_guard_interval():
+    # det = p + q lam2 times its conjugate p + q lam3 is the norm
+    # p^2 - b1 p q + b2 q^2, an integer polynomial.  Its one root on
+    # [GUARD_LO, 4] is 4 itself, so eigensystem_at never divides by zero
+    # on [GUARD_LO, 4), at lam2 or at lam3.
+    p, q = _cramer_v2()[2]
+    norm = p * p - CHAR_B1 * p * q + CHAR_B2 * q * q
+    assert norm.degree == 13
+    assert norm.eval_fraction(GUARD_LO) != 0
+    assert sturm_count(norm, GUARD_LO, Fraction(4)) == 1
+    assert norm.eval_fraction(Fraction(4)) == 0
+
+
+def test_amplitudes_factor_into_one_term_per_end(q_h, q_w4, q_l, q_neg10):
+    # X(m + 2) = c2 lam2^m + c3 lam3^m for planar ends, with
+    # c2 = lam2 S_A S_B / N2 and c3 = lam3 T_A T_B / N3, where
+    # S_E = Q_E^T D v2, T_E = Q_E^T D v3 and N_i = v_i^T D v_i; exact.
+    ends = (q_h, q_w4, q_l, q_neg10)
+    for k in (2, 6, 10):
+        x = 4 - Fraction(1, 2 ** k)
+        es = eigensystem_at(x)
+        lam2, lam3 = es.lambda2, es.lambda3
+        n2, n3 = (_d_product_at(x, v, v) for v in (es.v2, es.v3))
+        s = [_d_product_at(x, q.eval_fraction(x), es.v2) for q in ends]
+        t = [_d_product_at(x, q.eval_fraction(x), es.v3) for q in ends]
+        for i, qa in enumerate(ends):
+            for j, qb in enumerate(ends):
+                x2, x3 = (family_value_at(qa, qb, n, x) for n in (2, 3))
+                c2 = (x3 - lam3 * x2) / (lam2 - lam3)
+                c3 = (lam2 * x2 - x3) / (lam2 - lam3)
+                assert c2 == lam2 * s[i] * s[j] / n2, (k, i, j)
+                assert c3 == lam3 * t[i] * t[j] / n3, (k, i, j)
 
 
 def test_lambda_series_remainder_constant():
@@ -167,11 +204,16 @@ def test_classification_series_prefixes(request, name, prefix):
 def test_series_matches_projection_to_third_order(request, name):
     # The series truncated after eps^2 against the exact projection at
     # x = 4 - 2^-k: the remainder stays within 800 eps^3 (the eps^3
-    # coefficients are -2165/3 for H and 3397/243 for W4).
+    # coefficients are -2165/3 for H and 3397/243 for W4).  Both sides take
+    # v2 from one Cramer solve, so the exact side is checked against MD at
+    # each point.
     q = request.getfixturevalue(name)
     s0, s1, s2 = classify_end_graph(q).series[:3]
     for k in range(6, 11):
         eps = Fraction(1, 2 ** k)
+        es = eigensystem_at(4 - eps)
+        for i in (2, 3):
+            assert all(_is_zero(r) for r in eigen_residual(es, i)), (k, i)
         exact = second_projection_at(q, 4 - eps)
         dev = abs(exact - QuadExt(s0 + s1 * eps + s2 * eps ** 2, 0, exact.d))
         assert (QuadExt(800 * eps ** 3, 0, exact.d) - dev).sign() > 0, k
