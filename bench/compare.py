@@ -51,7 +51,9 @@ COLD_COMMANDS = {"reproduce_tables_s": ["reproduce-tables"],
                  "family_128_s": ["family", "--endA", "H", "--endB", "W4",
                                   "--n", "128"],
                  "family_512_s": ["family", "--endA", "H", "--endB", "W4",
-                                  "--n", "512"]}
+                                  "--n", "512"],
+                 "root4_4097_s": ["root4", "--endA", "H", "--endB", "W4",
+                                  "--n", "4097"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int,

@@ -39,7 +39,7 @@ from pathlib import Path
 
 from . import __version__
 from .chromatic import ResourceLimitError
-from .graphs import FIXTURE_NAMES, FramedGraph, load_fixture, parse_graph_text
+from .graphs import FramedGraph, load_fixture, parse_graph_text
 
 # Each subcommand imports what it runs, so that a command loads only the
 # modules it uses (poly and qvec load neither transfer, roots, spectral nor
@@ -80,11 +80,7 @@ def _load_graph(spec: str):
     path = Path(spec)
     if path.exists():
         return parse_graph_text(path.read_text())
-    stem = spec[:-6] if spec.endswith(".graph") else spec
-    if stem in FIXTURE_NAMES:
-        return load_fixture(stem)
-    raise ValueError(f"{spec!r} is neither a file nor a bundled "
-                     f"fixture {FIXTURE_NAMES}")
+    return load_fixture(spec)
 
 
 def _load_framed(spec: str) -> FramedGraph:
@@ -432,7 +428,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

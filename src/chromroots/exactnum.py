@@ -1,12 +1,12 @@
 """Exact arithmetic substrate: integer polynomials, falling factorials and
 their integer combinations, real quadratic extension fields, and the one
-power, quadratic-ring product, dot product and Horner's rule that other
-modules use.
+kernel per job that other modules use: power, quad_mul (also QuadExt's
+product), dot and horner (also transfer's closed form, in floats).
 
 Everything here is exact.  Rationals are `fractions.Fraction`, integers are
-Python ints, and quadratic irrationals a + b*sqrt(d) carry their radicand
-with them so values from different extensions can never be mixed silently.
-No floating point is used anywhere in this module.
+Python ints, and quadratic irrationals a + b*sqrt(d) carry their radicand,
+kept as it comes, so values from different extensions can never be mixed
+silently.  No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Sequence
 
 
@@ -317,18 +317,14 @@ class IntPolynomial:
 # The falling-factorial basis
 # ----------------------------------------------------------------------------
 
-_ff_cache = [IntPolynomial((1,))]
-
-
+@lru_cache(maxsize=None)
 def falling_factorial(k: int) -> IntPolynomial:
     """ff_k = x(x-1)...(x-k+1) as a power-basis polynomial (ff_0 = 1),
-    built and cached as the product ff_(k-1) * (x - k + 1)."""
+    the product of the x - j for j < k, cached per k."""
     if k < 0:
         raise ValueError("falling factorial index must be >= 0")
-    while len(_ff_cache) <= k:
-        j = len(_ff_cache)
-        _ff_cache.append(_ff_cache[-1] * IntPolynomial((1 - j, 1)))
-    return _ff_cache[k]
+    return reduce(operator.mul, (IntPolynomial((-j, 1)) for j in range(k)),
+                  IntPolynomial((1,)))
 
 
 def falling_factorial_sum(terms: Mapping[int, int]) -> IntPolynomial:
@@ -341,30 +337,6 @@ def falling_factorial_sum(terms: Mapping[int, int]) -> IntPolynomial:
 # ----------------------------------------------------------------------------
 # Real quadratic extensions  a + b*sqrt(d)
 # ----------------------------------------------------------------------------
-
-def squarefree_split(n: int) -> tuple:
-    """Write n = m^2 * d with d free of square factors below 10^8.
-
-    Small square factors are removed by trial division (primes <= 10^4);
-    a residual perfect-square cofactor is also detected exactly.  A square
-    factor made of primes above 10^4 is left in place, which affects only
-    the canonical form of the radicand, never correctness of arithmetic.
-    """
-    if n <= 0:
-        raise ValueError("radicand must be positive")
-    m = 1
-    d = n
-    for p in range(2, 10001):
-        if p * p > d:
-            break
-        while d % (p * p) == 0:
-            d //= p * p
-            m *= p
-    r = math.isqrt(d)
-    if r * r == d:
-        return m * r, 1
-    return m, d
-
 
 class QuadExt:
     """Element a + b*sqrt(d) of a real quadratic extension of the rationals.
@@ -432,13 +404,9 @@ class QuadExt:
 
     def __mul__(self, other):
         s, o = self._pair(other)
-        return QuadExt(s.a * o.a + s.b * o.b * s.d,
-                       s.a * o.b + s.b * o.a, s.d)
+        return QuadExt(*quad_mul((s.a, s.b), (o.a, o.b), 0, -s.d), s.d)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - b^2 d (rational)."""
@@ -466,9 +434,6 @@ class QuadExt:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d): the sign of a when b is 0 or has a's
@@ -518,21 +483,15 @@ class QuadExt:
 
 
 def sqrt_rational(q: Fraction) -> QuadExt:
-    """Exact square root of a nonnegative rational as a QuadExt.
-
-    sqrt(u/v) = sqrt(u*v)/v; the radicand is reduced by square extraction.
-    A rational result comes back with b = 0 (and a placeholder radicand).
-    """
+    """Exact square root of a nonnegative rational as a QuadExt:
+    sqrt(u/v) = sqrt(u v) / v, with radicand u v as it comes (not reduced);
+    a rational result comes back with b = 0, folded by QuadExt."""
     q = Fraction(q)
     if q < 0:
         raise ValueError("negative radicand")
     if q == 0:
         return QuadExt(0, 0, 5)
-    u, v = q.numerator, q.denominator
-    m, d = squarefree_split(u * v)
-    if d == 1:
-        return QuadExt(Fraction(m, v), 0, 5)
-    return QuadExt(0, Fraction(m, v), d)
+    return QuadExt(0, Fraction(1, q.denominator), q.numerator * q.denominator)
 
 
 #: The golden ratio (1 + sqrt(5)) / 2 as an exact element of Q(sqrt 5).

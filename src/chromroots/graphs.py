@@ -237,7 +237,8 @@ def type_auxiliary_graph(fg: FramedGraph, ctype: ColouringType) -> Graph | None:
 
 def parse_graph_text(text: str):
     """Parse the graph file format; returns FramedGraph when a frame line is
-    present, plain Graph otherwise.  Lines starting with '#' are comments."""
+    present, plain Graph otherwise.  Lines starting with '#' are comments;
+    a second 'vertices' or 'frame' line is an error."""
     n = None
     edges = []
     frame = None
@@ -250,6 +251,9 @@ def parse_graph_text(text: str):
             values = tuple(map(int, fields))
         except ValueError:  # a non-integer token: no form below matches
             values = ()
+        if kind == "vertices" and n is not None \
+                or kind == "frame" and frame is not None:
+            raise ValueError(f"line {lineno}: a second {kind!r} line")
         if kind == "vertices" and len(values) == 1:
             n = values[0]
             if not 0 <= n <= MAX_VERTICES:
@@ -276,7 +280,7 @@ def load_fixture(name: str) -> FramedGraph:
     """Load one of the bundled end-graph fixtures by name."""
     stem = name[:-6] if name.endswith(".graph") else name
     if stem not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; have {FIXTURE_NAMES}")
+        raise ValueError(f"unknown fixture {name!r}; have {FIXTURE_NAMES}")
     text = (resources.files("chromroots") / "fixtures" / f"{stem}.graph").read_text()
     fg = parse_graph_text(text)
     if not isinstance(fg, FramedGraph):

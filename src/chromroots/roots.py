@@ -215,7 +215,9 @@ def bisect(bracket: RootBracket, evaluator: Callable[[Fraction], int],
 
 
 def fraction_to_decimal(value: Fraction, digits: int) -> str:
-    """Round a rational to `digits` decimals (half away from zero)."""
+    """Round a rational to `digits` >= 0 decimals (half away from zero)."""
+    if digits < 0:
+        raise ValueError(f"digits must be nonnegative, not {digits}")
     if value < 0:
         return "-" + fraction_to_decimal(-value, digits)
     scaled = value * 10 ** digits
@@ -245,7 +247,11 @@ def largest_root_near_four(family: StripFamily, n: int, *,
                            width: Fraction = DEFAULT_WIDTH,
                            digits: int = 10) -> RootNearFour:
     """Bisect the bracket_near_four cell below `width`; the scan and the
-    bisection share one memo of exact signs (see the module docstring)."""
+    bisection share one memo of exact signs (see the module docstring).
+    A width <= 0 or digits < 0 raises ValueError before any sign is taken."""
+    if width <= 0 or digits < 0:
+        raise ValueError(f"width must be positive and digits nonnegative, "
+                         f"not {width} and {digits}")
     signs = _Signs(family, n)
     coarse = signs.near_four()
     fine = signs.search(lambda sign: bisect(coarse, sign, width), 1)

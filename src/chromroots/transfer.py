@@ -20,8 +20,9 @@ square-and-multiply (_power_mod, kept apart from exactnum.power for its
 symmetric squaring and shift-multiply).
 TransferMatrix.power, exactnum.power on 4x4 products, remains the path that
 tests compare against.  The strip head also holds the family's closed form
-near 4 from the recurrence's eigenvalues (ClosedForm), in floats, whose
-signs guide the probe scan and bisection of roots; exact signs check them.
+near 4 from the recurrence's eigenvalues (ClosedForm, in floats by horner),
+whose signs guide the probe scan and bisection of roots; exact signs check
+them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Sequence
 from .chromatic import (PartitionVector, _walk_colourings,
                         partitioned_chromatic)
 from .exactnum import (IntPolynomial, QuadExt, dot, falling_factorial,
-                       falling_factorial_sum, power, quad_mul)
+                       falling_factorial_sum, horner, power, quad_mul)
 from .graphs import ColouringType, FramedGraph, layer_gadget
 
 #: Number of colours used on the frame by each colouring type.
@@ -326,17 +327,6 @@ class StripFamily:
 # The closed form near 4, in floats
 # ----------------------------------------------------------------------------
 
-def _value_and_size(cs: tuple, eps: float) -> tuple:
-    """(p(eps), sum_i |c_i| eps^i) in floats for coefficients cs, constant
-    first; the rounding error of the first is at most 2 (deg p + 1) 2^-53
-    times the second."""
-    value = size = 0.0
-    for c in reversed(cs):
-        value = value * eps + c
-        size = size * eps + abs(c)
-    return value, size
-
-
 class ClosedForm:
     """The sign of the strip family at x = 4 - eps, 0 < eps <= 1/2, in
     Python floats, from its eigenvalues instead of from powers.
@@ -380,6 +370,8 @@ class ClosedForm:
                                 for p in polys)
         except OverflowError:   # coefficients beyond the float range
             self._polys = None
+        else:   # the magnitudes of x1, x2, G and r, for the rounding bound
+            self._sizes = tuple(tuple(map(abs, p)) for p in self._polys[:4])
         # Horner's rule and the dozen float operations after it.
         degree = max(p.degree for p in polys)
         self._rounding = (2 * degree + 20) * 2.0 ** -53
@@ -403,13 +395,11 @@ class ClosedForm:
     def _value(self, n: int, eps: float) -> tuple:
         """(v, size) at 4 - eps, 0 < eps <= 1/2 (see sign)."""
         x1, x2, g, r, dt, beta = self._polys
+        size1, size2, size_g, size_r = self._sizes
         if n == 1:
-            return _value_and_size(x1, eps)
-        (x2, size2), (g, size_g), (r, size_r) = (
-            _value_and_size(x2, eps), _value_and_size(g, eps),
-            _value_and_size(r, eps))
-        root = eps * math.sqrt(_value_and_size(dt, eps)[0])   # mu+ - mu-
-        shift = eps * _value_and_size(beta, eps)[0]           # CHAR_B1 + 4
+            return horner(x1, eps), horner(size1, eps)
+        root = eps * math.sqrt(horner(dt, eps))   # mu+ - mu-
+        shift = eps * horner(beta, eps)           # CHAR_B1 + 4
         m = n - 2
         mu_plus = 2 + (root - shift) / 2
         mu_minus = 2 - (root + shift) / 2
@@ -419,9 +409,11 @@ class ClosedForm:
         else:
             rho_m = (mu_minus / mu_plus) ** m
             rest = 1 - rho_m
-        value = x2 * (1 + rho_m) + g * rest / root
-        size = size2 * abs(1 + rho_m) + size_g * abs(rest) / root
+        value = horner(x2, eps) * (1 + rho_m) + horner(g, eps) * rest / root
+        size = (horner(size2, eps) * abs(1 + rho_m)
+                + horner(size_g, eps) * abs(rest) / root)
         if self.cubic:
+            r, size_r = horner(r, eps), horner(size_r, eps)
             log_ratio = m * math.log1p((root - shift) / 4)   # log (mu+/2)^m
             w = math.exp(-abs(log_ratio))
             if log_ratio < 0:
@@ -454,7 +446,8 @@ _tau_mul = partial(quad_mul, b1=-1, b2=-1)
 
 def _value_at_tau_plus(p: IntPolynomial, k: int) -> tuple:
     """p(tau + k) in Z[tau] by Horner's rule on integer pairs:
-    (a + b tau)(k + tau) = (a k + b) + (a + b (k + 1)) tau."""
+    (a + b tau)(k + tau) = (a k + b) + (a + b (k + 1)) tau.  Kept apart
+    from exactnum.horner, which would run on QuadExt's Fractions."""
     a = b = 0
     for c in reversed(p.coefficients):
         a, b = a * k + b + c, a + b * (k + 1)

@@ -81,7 +81,10 @@ def test_parse_format_roundtrip():
     ("vertices x\nedge 0 1\n", "line 1: cannot parse 'vertices x'"),
     ("vertices 4\n\n  frame 0 1 2 three\n",
      "line 3: cannot parse '  frame 0 1 2 three'"),
-], ids=["edge", "vertices", "frame"])
+    ("vertices 3\nvertices 5\nedge 0 4\n", "line 2: a second 'vertices' line"),
+    ("vertices 4\nframe 0 1 2 3\n# again\nframe 3 2 1 0\n",
+     "line 4: a second 'frame' line"),
+], ids=["edge", "vertices", "frame", "second-vertices", "second-frame"])
 def test_a_non_integer_token_names_its_line(text, message):
     with pytest.raises(ValueError) as info:
         parse_graph_text(text)
@@ -108,8 +111,9 @@ def test_square_triangulation_euler_count(name):
 
 
 def test_unknown_fixture():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError) as info:
         load_fixture("nope")
+    assert str(info.value).startswith("unknown fixture 'nope'; have (")
 
 
 def test_diagonal_contraction():

@@ -78,6 +78,25 @@ def test_fraction_to_decimal():
     assert fraction_to_decimal(Fraction(2, 3), 5) == "0.66667"
     assert fraction_to_decimal(Fraction(-5, 4), 2) == "-1.25"
     assert fraction_to_decimal(Fraction(7), 0) == "7"
+    with pytest.raises(ValueError, match="digits must be nonnegative"):
+        fraction_to_decimal(Fraction(1, 3), -1)
+
+
+class _NoSigns:
+    """A stand-in family on which any sign, guided or exact, fails."""
+
+    closed_form = None
+
+    def sign_at(self, n, x):
+        raise AssertionError(f"exact sign taken at {x}")
+
+
+@pytest.mark.parametrize("kwargs", [{"width": Fraction(0)},
+                                    {"width": Fraction(-1, 10)},
+                                    {"digits": -2}])
+def test_bad_width_or_digits_raises_before_any_sign(kwargs):
+    with pytest.raises(ValueError, match="width must be positive"):
+        largest_root_near_four(_NoSigns(), 10, **kwargs)
 
 
 def test_sturm_counts():
