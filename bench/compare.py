@@ -11,10 +11,11 @@ workload and side the summary of perfbench/baseline.py (median, quartiles,
 spread, n) of every end-to-end metric and of the checks' failure fraction,
 the number of pairs the change won on each metric (ties count for neither
 side), and the same summary of the traced layer metrics named in
-LAYER_METRICS below.  Its `cold_start` section gives, for PAIRS alternating
-pairs, the wall seconds of each command line in COLD_COMMANDS run cold by
+LAYER_METRICS below.  Its `cold_start` section gives, for PAIRS pairs,
+the wall seconds of each command line in COLD_COMMANDS run cold by
 `python -m chromroots` in each checkout with PYTHONPATH=src, in the same
-summary.  Runs are strictly one at a time.
+summary; the two runs of a pair are of one command, back to back,
+alternating which checkout goes first.  Runs are strictly one at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ COLD_COMMANDS = {"reproduce_tables_s": ["reproduce-tables"],
                  "version_s": ["--version"],
                  "croots_s": ["croots", "--endA", "H", "--endB", "W4",
                               "--n", "10"],
+                 "croots_30_s": ["croots", "--endA", "H", "--endB", "W4",
+                                 "--n", "30"],
                  "verify_golden_s": ["verify-golden", "--endA", "H",
                                      "--endB", "W4", "--max-n", "128"],
                  "family_128_s": ["family", "--endA", "H", "--endB", "W4",
@@ -67,17 +70,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int,
     return json.loads(out.strip().splitlines()[-1])
 
 
-def cold_start_once(checkout: Path) -> dict:
-    """Wall seconds of each command line of COLD_COMMANDS in a fresh
-    interpreter, from process start to exit."""
+def cold_seconds(checkout: Path, argv: list) -> float:
+    """Wall seconds of one command line in a fresh interpreter, from
+    process start to exit."""
     env = dict(os.environ, PYTHONPATH="src")
-    out = {}
-    for name, argv in COLD_COMMANDS.items():
-        start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "chromroots", *argv],
-                       cwd=checkout, env=env, capture_output=True, check=True)
-        out[name] = time.perf_counter() - start
-    return out
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "chromroots", *argv],
+                   cwd=checkout, env=env, capture_output=True, check=True)
+    return time.perf_counter() - start
+
+
+def cold_pairs(sides: dict, seeds: range) -> dict:
+    """{side: [{command: cold_seconds} per pair]}: each command of
+    COLD_COMMANDS runs in both checkouts back to back, the sides
+    alternating which goes first from one command to the next."""
+    runs = {side: [{} for _ in seeds] for side in sides}
+    for i, seed in enumerate(seeds):
+        for k, (name, argv) in enumerate(COLD_COMMANDS.items()):
+            order = list(sides) if (seed + k) % 2 else list(sides)[::-1]
+            for side in order:
+                runs[side][i][name] = cold_seconds(sides[side], argv)
+        print(f"cold start seed={seed}", file=sys.stderr, flush=True)
+    return runs
 
 
 def values_of(result: dict) -> dict:
@@ -146,9 +160,7 @@ def main() -> int:
         report["workloads"][name] = {
             "end_to_end": compare(runs, end_to_end),
             "per_layer": compare(traced, list(LAYER_METRICS))}
-    cold = run_pairs(sides, range(1, PAIRS + 1),
-                     lambda checkout, seed: cold_start_once(checkout),
-                     "cold start")
+    cold = cold_pairs(sides, range(1, PAIRS + 1))
     report["cold_start"] = compare(cold, list(COLD_COMMANDS))
     out = args.change / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

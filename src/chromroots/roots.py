@@ -31,21 +31,20 @@ second chain only when the rest has a repeated factor.
 
 The complex-root finder divides out the same integer roots, emits them
 exactly, and runs Aberth-Ehrlich simultaneous iteration on each squarefree
-factor of the rest in two stages of one iteration function: first in Python
-floats on the factor shifted to its root centroid, scaled to its root
-radius and normalised by its largest coefficient (so no float can
-overflow), then from those seeds in Gaussian fixed-point numbers
-(x + iy) / 2^f with x and y Python ints (the staged precision of MPSolve:
-Bini, Numer. Algorithms 13, 1996; Bini and Fiorentino, Numer. Algorithms
-23, 2000).  That stage needs only a fixed relative accuracy, which Python
-ints give at C speed; mpmath floats without gmpy spend most of their time
-in the interpreter.  In both stages a root whose value has reached the
-round-off floor is settled and never evaluated again.  The number of real
-roots is Sturm's exact count, not a tolerance on the imaginary parts.  The
-complex-root finder is the only code that uses mpmath (for the seeds'
-radius, its output numbers and its residuals, evaluated apart from the
-fixed-point arithmetic), and it imports mpmath where it runs, so real-root
-isolation and Sturm counts never load it.
+factor of the rest in two stages: first in Python floats on the factor
+shifted to its root centroid, scaled to its root radius and normalised by
+its largest coefficient (so no float can overflow), then from those seeds
+in fixed point, on int pairs (x, y) that stand for (x + iy) / 2^f (the
+staged precision of MPSolve: Bini, Numer. Algorithms 13, 1996; Bini and
+Fiorentino, Numer. Algorithms 23, 2000).  That stage needs only a fixed
+relative accuracy, which Python ints give at C speed; mpmath floats without
+gmpy spend most of their time in the interpreter.  In both stages a root
+whose value has reached the round-off floor is settled and never evaluated
+again.  The number of real roots is Sturm's exact count, not a tolerance on
+the imaginary parts.  The complex-root finder is the only code that uses
+mpmath (for the seeds' radius, its output numbers and its residuals,
+evaluated apart from the fixed-point arithmetic), and it imports mpmath
+where it runs, so real-root isolation and Sturm counts never load it.
 """
 
 from __future__ import annotations
@@ -452,7 +451,7 @@ def sturm_count(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
 
 
 # ----------------------------------------------------------------------------
-# Complex roots (Aberth-Ehrlich, floats then Gaussian fixed point)
+# Complex roots (Aberth-Ehrlich, floats then fixed point)
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -462,7 +461,8 @@ class ComplexRootSet:
     `roots` are (re, im) mpmath float pairs, conjugate-closed and sorted;
     a root is real (im exactly 0) if and only if Sturm's count says so.
     `residuals` are the relative residuals |p(z)| / sum_i |c_i| |z|^i,
-    evaluated at doubled precision (0 at the exact integer roots 0, 1, 2,
+    evaluated at doubled precision once per distinct root and shared by
+    its conjugate and its repeats (0 at the exact integer roots 0, 1, 2,
     ... and wherever p(z) is exactly 0).
     """
 
@@ -479,94 +479,12 @@ class ComplexRootSet:
         return sorted(re for re, im in self.roots if im == 0)
 
 
-class _Gauss:
-    """The Gaussian fixed-point number (x + iy) / 2^f, with x and y Python
-    ints: the number type of the multiprecision Aberth-Ehrlich stage.
-
-    Sums are exact; products and quotients are truncated to a multiple of
-    2^-f.  An int or complex operand is lifted exactly.  abs gives the
-    magnitude, truncated, as a real _Gauss, and <= compares real parts,
-    which is all the settle test asks of it.
-    """
-
-    __slots__ = ("x", "y", "f")
-
-    def __init__(self, x: int, y: int, f: int):
-        self.x, self.y, self.f = x, y, f
-
-    @classmethod
-    def from_mpc(cls, z, f: int) -> "_Gauss":
-        """The mpmath complex z truncated to a multiple of 2^-f, read from
-        its binary parts, so that no rounding at a working precision can
-        merge nearby seeds."""
-        parts = []
-        for sign, man, exp, _ in z._mpc_:
-            shift = exp + f
-            v = int(man) << shift if shift >= 0 else int(man) >> -shift
-            parts.append(-v if sign else v)
-        return cls(*parts, f)
-
-    def _lift(self, value) -> "_Gauss":
-        if isinstance(value, _Gauss):
-            return value
-        f = self.f
-        if isinstance(value, int):
-            return _Gauss(value << f, 0, f)
-        re, im = Fraction(value.real), Fraction(value.imag)
-        return _Gauss((re.numerator << f) // re.denominator,
-                      (im.numerator << f) // im.denominator, f)
-
-    def __add__(self, other):
-        if other.__class__ is not _Gauss:
-            other = self._lift(other)
-        return _Gauss(self.x + other.x, self.y + other.y, self.f)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other.__class__ is not _Gauss:
-            other = self._lift(other)
-        return _Gauss(self.x - other.x, self.y - other.y, self.f)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __mul__(self, other):
-        if other.__class__ is not _Gauss:
-            other = self._lift(other)
-        a, b, c, d, f = self.x, self.y, other.x, other.y, self.f
-        return _Gauss((a * c - b * d) >> f, (a * d + b * c) >> f, f)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if other.__class__ is not _Gauss:
-            other = self._lift(other)
-        a, b, c, d, f = self.x, self.y, other.x, other.y, self.f
-        norm = c * c + d * d
-        return _Gauss(((a * c + b * d) << f) // norm,
-                      ((b * c - a * d) << f) // norm, f)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __abs__(self):
-        return _Gauss(isqrt(self.x * self.x + self.y * self.y), 0, self.f)
-
-    def __le__(self, other):
-        return self.x <= other.x
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        return self.x == other.x and self.y == other.y
-
-
-def _aberth_iterate(coeffs: Sequence, z: Sequence, unit) -> Tuple[list, bool]:
-    """Aberth-Ehrlich simultaneous iteration on a squarefree polynomial
-    (coefficients constant first) from the starting points `z`, in the
-    number type of the inputs (Python complex or _Gauss) whose round-off
-    unit is `unit`.  Returns the last iterate and whether every root
-    settled within MAX_SWEEPS sweeps.
+def _aberth_iterate(coeffs: Sequence[float], z: Sequence[complex]
+                    ) -> Tuple[list, bool]:
+    """Aberth-Ehrlich simultaneous iteration in Python floats on a
+    squarefree polynomial (coefficients constant first) from the starting
+    points `z`.  Returns the last iterate and whether every root settled
+    within MAX_SWEEPS sweeps.
 
     A root approximation counts as settled once |p(z)| drops below the
     round-off floor of the Horner evaluation itself; beyond that point the
@@ -583,7 +501,7 @@ def _aberth_iterate(coeffs: Sequence, z: Sequence, unit) -> Tuple[list, bool]:
         for j in active:
             zj = z[j]
             pj = horner(coeffs, zj)
-            if abs(pj) <= horner(absc, abs(zj)) * (d + 1) * unit:
+            if abs(pj) <= horner(absc, abs(zj)) * (d + 1) * 2.0 ** -52:
                 continue
             still.append(j)
             dj = horner(deriv, zj)
@@ -597,6 +515,73 @@ def _aberth_iterate(coeffs: Sequence, z: Sequence, unit) -> Tuple[list, bool]:
                     s += 1 / (zj - z[k])
             denom = 1 - w * s
             z[j] = zj - (w if denom == 0 else w / denom)
+        active = still
+        if not active:
+            return z, True
+    return z, False
+
+
+def _aberth_fixed(cs: Sequence[int], z: Sequence[Tuple[int, int]], f: int,
+                  unit: int) -> Tuple[list, bool]:
+    """_aberth_iterate in fixed point: the real coefficients c / 2^f for c
+    in `cs`, the points (x + iy) / 2^f for (x, y) in `z` and the round-off
+    unit unit / 2^f, all Python ints.
+
+    Sums are exact; every product and quotient is truncated (floored) to a
+    multiple of 2^-f, so that the stage needs only a fixed relative
+    accuracy, which Python ints give at C speed.  The Horner passes for p,
+    for sum_i |c_i| |z|^i (|z| truncated) and for p', and the Aberth sum
+    sum_k 1 / (z_j - z_k), are written out on the int pairs: an object per
+    product costs more than its arithmetic at these sizes.
+    """
+    d = len(cs) - 1
+    top = cs[-1]
+    rest = cs[-2::-1]
+    absc = [abs(c) for c in rest]
+    deriv = [i * cs[i] for i in range(d, 0, -1)]
+    f2 = 2 * f
+    one = 1 << f
+    # (1 + 2i) / 1024, truncated.
+    nudge_x, nudge_y = one // 1024, 2 * one // 1024
+    z = list(z)
+    active = list(range(d))
+    for _ in range(MAX_SWEEPS):
+        still = []
+        for j in active:
+            x, y = z[j]
+            px, py = top, 0
+            for c in rest:
+                px, py = ((px * x - py * y) >> f) + c, (px * y + py * x) >> f
+            r = isqrt(x * x + y * y)
+            q = abs(top)
+            for c in absc:
+                q = ((q * r) >> f) + c
+            if isqrt(px * px + py * py) <= (q * (d + 1) * unit) >> f:
+                continue
+            still.append(j)
+            dx, dy = deriv[0], 0
+            for c in deriv[1:]:
+                dx, dy = ((dx * x - dy * y) >> f) + c, (dx * y + dy * x) >> f
+            if not (dx or dy):
+                z[j] = (x + nudge_x, y + nudge_y)
+                continue
+            # w = p / p', s = sum_k 1 / (z_j - z_k), step w / (1 - w s).
+            n = dx * dx + dy * dy
+            wx = ((px * dx + py * dy) << f) // n
+            wy = ((py * dx - px * dy) << f) // n
+            sx = sy = 0
+            for xk, yk in z[:j] + z[j + 1:]:
+                ex, ey = x - xk, y - yk
+                n = ex * ex + ey * ey
+                sx += (ex << f2) // n
+                sy += (-ey << f2) // n
+            ex = one - ((wx * sx - wy * sy) >> f)
+            ey = -((wx * sy + wy * sx) >> f)
+            if ex or ey:
+                n = ex * ex + ey * ey
+                wx, wy = (((wx * ex + wy * ey) << f) // n,
+                          ((wy * ex - wx * ey) << f) // n)
+            z[j] = (x - wx, y - wy)
         active = still
         if not active:
             return z, True
@@ -639,7 +624,7 @@ def _seeds(factor: IntPolynomial) -> list:
         g = [float(c / top) for c in scaled]
         circle = [complex(mp.expjpi(2 * (mp.mpf(k) / d) + mp.mpf(1) / (2 * d)))
                   for k in range(d)]
-        ys, _ = _aberth_iterate(g, circle, 2.0 ** -52)
+        ys, _ = _aberth_iterate(g, circle)
         # Exact sums: rounding could merge the seeds of roots closer
         # together than they are to the centre.
         return [mp.fadd(centre, radius * mp.mpc(y), exact=True)
@@ -703,18 +688,21 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
     sweeps each: first in Python floats on the factor shifted to the roots'
     centroid, scaled to its root radius and normalised by its largest
     coefficient (the seeds, see _seeds), then from those seeds, read
-    exactly, in _Gauss numbers with 2^-f resolution, f the working
-    precision plus 32 plus _guard_bits.  In both, a root that has reached
-    the round-off floor is settled and not evaluated again.  The settled
-    iterates are converted exactly to mpmath numbers.  The number of real
-    roots of each factor is Sturm's exact count from its chain
-    (_real_root_count): that many roots nearest the real axis are made
-    real and the rest are emitted in conjugate pairs.  One retry of the
-    fixed-point stage at doubled precision when it does not settle or its
-    non-real roots do not split evenly between the half-planes.  Residuals
-    are evaluated in mpmath against the original coefficients at doubled
-    precision, relative to sum_i |c_i| |z|^i (see ComplexRootSet), a check
-    independent of the fixed-point arithmetic.
+    exactly, in fixed point with 2^-f resolution
+    (_aberth_fixed), f the working precision plus 32 plus _guard_bits.  In
+    both, a root that has reached the round-off floor is settled and not
+    evaluated again.  The settled iterates are converted exactly to mpmath
+    numbers.  The number of real roots of each factor is Sturm's exact
+    count from its chain (_real_root_count): that many roots nearest the
+    real axis are made real and the rest are emitted in conjugate pairs.
+    One retry of the fixed-point stage at doubled precision when it does
+    not settle or its non-real roots do not split evenly between the
+    half-planes.  Residuals are evaluated in mpmath at doubled precision
+    against the original coefficients, converted exactly, relative to
+    sum_i |c_i| |z|^i (see ComplexRootSet): a check independent of the
+    fixed-point arithmetic.  Each distinct root is evaluated once; its
+    conjugate and its repeats share the value, which evaluating them
+    would give bit for bit.
     """
     import mpmath as mp
     if p.degree < 1:
@@ -732,7 +720,7 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
     else:
         factors = [(f, mult, _real_root_count(sturm_sequence(f)))
                    for f, mult in squarefree_factors(rest)]
-    collected = []
+    solved = []
     for factor, mult, real_count in factors:
         cs = factor.coefficients
         seeds = _seeds(factor)
@@ -740,33 +728,44 @@ def complex_roots(p: IntPolynomial, precision_bits: int = 256) -> ComplexRootSet
         for attempt, prec in enumerate((precision_bits, 2 * precision_bits)):
             try:
                 f = prec + 32 + guard
-                z, settled = _aberth_iterate(
-                    [_Gauss((c << f) // cs[-1], 0, f) for c in cs],
-                    [_Gauss.from_mpc(s, f) for s in seeds],
-                    _Gauss(1 << (f - prec - 8), 0, f))
+                # The seeds truncated to multiples of 2^-f, read exactly
+                # (no rounding at a working precision merges near seeds).
+                z, settled = _aberth_fixed(
+                    [(c << f) // cs[-1] for c in cs],
+                    [(int(mp.ldexp(s.real, f)), int(mp.ldexp(s.imag, f)))
+                     for s in seeds],
+                    f, 1 << (f - prec - 8))
                 if not settled:
                     raise RootConvergenceError(
                         f"no convergence after {MAX_SWEEPS} sweeps")
                 # A working precision that holds every x and y exactly.
                 with mp.workprec(max(abs(v).bit_length()
-                                     for t in z for v in (t.x, t.y, 1))):
+                                     for t in z for v in (*t, 1))):
                     froots = _real_and_conjugate(
-                        [mp.mpc(mp.mpf((t.x, -f)), mp.mpf((t.y, -f)))
-                         for t in z], real_count)
+                        [mp.mpc(mp.mpf((x, -f)), mp.mpf((y, -f)))
+                         for x, y in z], real_count)
                 break
             except RootConvergenceError:
                 if attempt:
                     raise
-        collected.extend(froots * mult)
+        solved.append((froots, mult))
 
+    # The coefficients as mpmath numbers, exactly.
+    with mp.workprec(max(abs(c).bit_length() for c in p.coefficients)):
+        cs = [mp.mpf(c) for c in p.coefficients]
+        absc = [abs(c) for c in cs]
     with mp.workprec(2 * precision_bits):
-        absc = [abs(c) for c in p.coefficients]
         rows = [(mp.mpf(k), mp.mpf(0), mp.mpf(0))
                 for k, mult in integer_roots.items() for _ in range(mult)]
-        for re, im in collected:
-            z = mp.mpc(re, im)
-            value = abs(horner(p.coefficients, z))
-            rows.append((re, im, value / horner(absc, abs(z)) if value else value))
+        for froots, mult in solved:
+            for re, im in froots:
+                # A root with im < 0 follows its conjugate twin, whose
+                # residual it shares: rounding to nearest is odd-symmetric.
+                if im >= 0:
+                    z = mp.mpc(re, im)
+                    value = abs(horner(cs, z))
+                    residual = value / horner(absc, abs(z)) if value else value
+                rows += [(re, im, residual)] * mult
         rows.sort(key=lambda t: t[:2])
     return ComplexRootSet(tuple(t[:2] for t in rows), tuple(t[2] for t in rows),
                           precision_bits)

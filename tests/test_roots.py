@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from chromroots import roots
 from chromroots.chromatic import chromatic_polynomial
-from chromroots.exactnum import IntPolynomial
+from chromroots.exactnum import IntPolynomial, horner
 from chromroots.graphs import cycle_graph, load_fixture
 from chromroots.roots import (MAX_DEGREE, NoSignChangeError, RootBracket,
                               _sign_variations, _split_coincident, bisect,
@@ -476,6 +476,61 @@ def test_complex_roots_emits_the_integer_roots_exactly(family_hw4, monkeypatch):
     distinct_reals = len(set(rs.real_roots()))
     assert distinct_reals == sturm_count(p, -bound, bound)
     assert len(rs.real_roots()) == 19
+
+
+def reference_residuals(p, rs):
+    """The residuals of rs as a per-root loop evaluates them: mpmath's
+    Horner rule at doubled precision on p's int coefficients, at every
+    emitted root, conjugate twins and repeats included (0 at the integer
+    roots 0, 1, 2, ... that complex_roots divides out)."""
+    _, ks = roots._deflate_small_integer_roots(p)
+    out = []
+    with mp.workprec(2 * rs.precision_bits):
+        absc = [abs(c) for c in p.coefficients]
+        for re, im in rs.roots:
+            if im == 0 and re == int(re) and int(re) in ks:
+                out.append(mp.mpf(0))
+                continue
+            z = mp.mpc(re, im)
+            value = abs(horner(p.coefficients, z))
+            out.append(value / horner(absc, abs(z)) if value else value)
+    return tuple(out)
+
+
+def test_residuals_equal_a_per_root_evaluation(family_hw4):
+    """One residual per distinct root, on coefficients converted exactly,
+    gives bit for bit what evaluating every emitted root gives: on H,W4,
+    whose coefficients at n = 20 are wider than 2 * 64 bits, and on a
+    polynomial with a repeated non-linear factor."""
+    cases = [(family_hw4.polynomial(n), bits)
+             for n in (10, 20) for bits in (64, 256)]
+    assert max(abs(c) for c in cases[2][0].coefficients).bit_length() > 128
+    repeated = (IntPolynomial([3, -1, 1]) ** 3 * IntPolynomial([7, -2, 0, 1])
+                * IntPolynomial([-1, 1]))
+    cases.append((repeated, 256))
+    for p, bits in cases:
+        rs = complex_roots(p, bits)
+        assert rs.residuals == reference_residuals(p, rs)
+        assert all(res < mp.mpf(2) ** -50 for res in rs.residuals)
+
+
+def test_fixed_point_stage_nudges_a_seed_where_the_derivative_vanishes(
+        monkeypatch):
+    """x^2 + 1 from the seeds 0, where p' = 0, and 2i: the first sweep
+    moves the seed at 0 by (1 + 2i) / 1024, truncated to the 2^-f grid,
+    and the iteration then settles at +-i."""
+    f = 100
+    cs, seeds, unit = [1 << f, 0, 1 << f], [(0, 0), (0, 2 << f)], 1 << 28
+    monkeypatch.setattr(roots, "MAX_SWEEPS", 1)
+    z, settled = roots._aberth_fixed(cs, seeds, f, unit)
+    assert not settled
+    assert z[0] == (1 << (f - 10), 2 << (f - 10))
+    monkeypatch.undo()
+    z, settled = roots._aberth_fixed(cs, seeds, f, unit)
+    assert settled
+    tol = 1 << (f - 60)
+    for (x, y), sign in zip(sorted(z, key=lambda t: t[1]), (-1, 1)):
+        assert abs(x) < tol and abs(y - sign * (1 << f)) < tol
 
 
 def test_complex_roots_rejects_bad_degrees():
